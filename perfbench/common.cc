@@ -113,6 +113,11 @@ void FillPerLayerDefaults(Report* report) {
 
 namespace {
 
+/// Rungs of the max_qps ladder: 2% apart over the serve_* ranges.
+constexpr int kLadderRungs = 126;
+/// The p99 latency max_qps must meet.
+constexpr double kLatencyLimitUs = 1000.0;
+
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 }  // namespace
@@ -254,25 +259,29 @@ std::vector<Segment> RunSegments(Target& target, double rate, int segments,
   return out;
 }
 
-void SetServiceMetrics(const Options& options,
-                       const std::vector<Segment>& segments,
-                       bool set_jobs_per_s, Report* report) {
-  // Each figure is the median over segments of that segment's figure, so
-  // one segment hit by a burst of slow requests moves it little.
-  const std::vector<double> ladder = RateLadder(
-      options.ladder_lo, options.ladder_hi, options.ladder_rungs);
-  const double limit = options.latency_limit_us;
-  double cpu = 0.0;
-  std::vector<double> throughput, p50_low, p99_low, p50_high, p99_high, qps;
+int ServeSegments(double seconds, double per_second) {
+  return std::max(kCheckedSegments,
+                  static_cast<int>(seconds * per_second + 0.5));
+}
+
+void SetServiceMetrics(const RatePlan& plan,
+                       const std::vector<Segment>& segments, Report* report) {
+  // Each wall-clock figure is the median over segments of that segment's
+  // figure, so one segment hit by a stall of the host moves it little. CPU
+  // time does not count such stalls and is the mean segment's.
+  const std::vector<double> ladder =
+      RateLadder(plan.ladder_lo, plan.ladder_hi, kLadderRungs);
+  const double limit = kLatencyLimitUs;
+  std::vector<double> cpu, throughput, p50_low, p99_low, p50_high, p99_high,
+      qps;
   for (const Segment& s : segments) {
-    cpu += s.cpu_s;
+    cpu.push_back(s.cpu_s);
     throughput.push_back(static_cast<double>(s.count) / s.wall_s);
     bool backlog = false;
-    std::vector<double> low = ReplayAtRate(s, options.low_qps, limit, &backlog);
+    std::vector<double> low = ReplayAtRate(s, plan.low_qps, limit, &backlog);
     p50_low.push_back(Quantile(low, 0.50));
     p99_low.push_back(Quantile(low, 0.99));
-    std::vector<double> high =
-        ReplayAtRate(s, options.high_qps, limit, &backlog);
+    std::vector<double> high = ReplayAtRate(s, plan.high_qps, limit, &backlog);
     p50_high.push_back(Quantile(high, 0.50));
     p99_high.push_back(Quantile(high, 0.99));
     double max_qps = 0.0;
@@ -284,21 +293,26 @@ void SetServiceMetrics(const Options& options,
     qps.push_back(max_qps);
   }
   MetricTable& m = report->metrics;
-  m.Set("cpu_s", cpu, "s");
-  if (set_jobs_per_s) m.Set("jobs_per_s", Median(throughput), "1/s");
+  double cpu_sum = 0.0;
+  for (double c : cpu) cpu_sum += c;
+  m.Set("cpu_s", cpu.empty() ? 0.0 : cpu_sum / static_cast<double>(cpu.size()),
+        "s");
+  m.Set("jobs_per_s", Median(throughput), "1/s");
   m.Set("p50_us_low", Median(p50_low), "us");
   m.Set("p99_us_low", Median(p99_low), "us");
   m.Set("p50_us_high", Median(p50_high), "us");
   m.Set("p99_us_high", Median(p99_high), "us");
   m.Set("max_qps", Median(qps), "1/s");
-  char line[200];
+  char line[256];
   std::snprintf(line, sizeof(line),
                 "service: %zu closed-loop segments of %llu requests, "
-                "throughput %.0f/s, replayed at %.0f and %.0f req/s",
+                "throughput %.0f/s, replayed at %.0f and %.0f req/s; "
+                "segment CPU min %.3f s, median %.3f s, max %.3f s",
                 segments.size(),
                 static_cast<unsigned long long>(
                     segments.empty() ? 0 : segments[0].count),
-                Median(throughput), options.low_qps, options.high_qps);
+                Median(throughput), plan.low_qps, plan.high_qps,
+                Quantile(cpu, 0.0), Median(cpu), Quantile(cpu, 1.0));
   report->lines.push_back(line);
 }
 

@@ -8,11 +8,8 @@
 //
 // The whole loop repeats from a fresh environment several times per run,
 // each repetition on its own sub-seed of the workload seed, so one run
-// averages over several workloads: jobs_per_s and cpu_s are means over the
-// repetitions. The repetitions' hints then steer closed-loop segments of
-// fresh later-day job occurrences (the production runs the hints exist
-// for: compile under the hint, fall back to the default plan on failure,
-// execute), whose service demands give the open-loop latencies.
+// averages over several workloads: jobs_per_s is the median and cpu_s the
+// mean over the repetitions.
 #include <cstdio>
 #include <memory>
 
@@ -117,10 +114,8 @@ struct RepResult {
   size_t active_hints = 0;
 };
 
-/// Runs one repetition: training days then the evaluation loop. Leaves the
-/// trained hints in `hints_out` when non-null.
-RepResult RunRepetition(uint64_t seed, int repetition, bool traced,
-                        std::unique_ptr<sis::StatsInsightService>* hints_out) {
+/// Runs one repetition: training days then the evaluation loop.
+RepResult RunRepetition(uint64_t seed, int repetition, bool traced) {
   RepResult r;
   const uint64_t setup_start = NowNs();
   LoopState s = BuildLoop(seed);
@@ -261,82 +256,8 @@ RepResult RunRepetition(uint64_t seed, int repetition, bool traced,
   r.counters["flights_budget_rejected"] =
       static_cast<double>(r.totals.flights_budget_rejected);
   r.counters["hints_uploaded"] = static_cast<double>(r.totals.hints_uploaded);
-  if (hints_out != nullptr) *hints_out = std::move(s.sis);
   return r;
 }
-
-/// A trained loop: its workload seed and the hints it left in the SIS.
-struct TrainedLoop {
-  uint64_t seed = 0;
-  std::unique_ptr<sis::StatsInsightService> hints;
-};
-
-/// Production runs of fresh later-day occurrences under the trained loops'
-/// hints: request i takes the next job of loop i % loops.size(), so every
-/// segment mixes all the loops' workloads. Each segment gets a fresh
-/// environment (cold caches, bounded memory); the job streams continue.
-class SteeredRunTarget : public Target {
- public:
-  explicit SteeredRunTarget(const std::vector<TrainedLoop>* loops)
-      : loops_(loops), ring_(kRingSlots) {
-    for (const TrainedLoop& loop : *loops) {
-      drivers_.push_back(std::make_unique<workload::WorkloadDriver>(
-          workload::WorkloadConfig{.num_templates = kTemplates,
-                                   .jobs_per_day = kJobsPerDay,
-                                   .seed = loop.seed}));
-      streams_.emplace_back(drivers_.back().get(), kTrainDays + kEvalDays);
-    }
-  }
-
-  void Begin(uint64_t first, uint64_t count) {
-    env_ = std::make_unique<experiments::ExperimentEnv>(
-        EnvConfig((*loops_)[0].seed, 1));
-    first_ = first;
-    outputs_.assign(count, 0);
-  }
-  void End() { env_.reset(); }
-
-  bool generates() const override { return true; }
-  void Generate(uint64_t index) override {
-    ring_[index % kRingSlots] = streams_[index % streams_.size()].Next();
-  }
-  bool Serve(uint64_t index) override {
-    workload::JobInstance job = std::move(ring_[index % kRingSlots]);
-    const sis::StatsInsightService& hints =
-        *(*loops_)[index % loops_->size()].hints;
-    auto hint = hints.LookupHint(job.template_name);
-    const opt::RuleConfig config =
-        hint.has_value() ? hint->ToConfig() : opt::RuleConfig::Default();
-    const uint64_t salt = static_cast<uint64_t>(job.day);
-    auto run = env_->engine().Run(job, config, salt);
-    if (!run.ok() && hint.has_value()) {
-      run = env_->engine().Run(job, opt::RuleConfig::Default(), salt);
-    }
-    if (!run.ok()) return false;
-    Digest d;
-    char line[160];
-    std::snprintf(line, sizeof(line), "%s %d %.9g %.9g", job.job_id.c_str(),
-                  hint.has_value() ? 1 : 0, run->compilation->est_cost,
-                  run->metrics.pn_hours);
-    d.Add(line);
-    outputs_[static_cast<size_t>(index - first_)] = d.value();
-    return true;
-  }
-
-  /// Folds the last segment's outputs, in request order, into `digest`.
-  void DigestInto(Digest* digest) const {
-    for (uint64_t v : outputs_) digest->Add(std::to_string(v));
-  }
-
- private:
-  const std::vector<TrainedLoop>* loops_;
-  std::vector<std::unique_ptr<workload::WorkloadDriver>> drivers_;
-  std::vector<JobStream> streams_;
-  std::vector<workload::JobInstance> ring_;
-  std::unique_ptr<experiments::ExperimentEnv> env_;
-  uint64_t first_ = 0;
-  std::vector<uint64_t> outputs_;
-};
 
 int Repetitions(double seconds) {
   return std::max(3, static_cast<int>(seconds * 0.6 + 0.5));
@@ -346,24 +267,6 @@ int Repetitions(double seconds) {
 uint64_t SubSeed(uint64_t seed, int k) {
   return k == 0 ? seed
                 : MixHash(seed ^ (0x7f4a7c15ULL * static_cast<uint64_t>(k)));
-}
-
-constexpr int kSteeredSegments = 8;
-constexpr uint64_t kSteeredCount = 6000;
-
-/// Runs the steered segments, digesting their outputs.
-std::vector<Segment> RunSteered(const std::vector<TrainedLoop>& loops,
-                                Digest* digest) {
-  SteeredRunTarget target(&loops);
-  uint64_t next = 0;
-  SegmentHooks hooks;
-  hooks.begin = [&](uint64_t first, uint64_t count) {
-    target.Begin(first, count);
-  };
-  hooks.after = [&](const Segment&) { target.DigestInto(digest); };
-  hooks.end = [&] { target.End(); };
-  return RunSegments(target, 0.0, kSteeredSegments, kSteeredCount, hooks,
-                     &next);
 }
 
 void SetTracedMetrics(const Options& options, const RepResult& plain,
@@ -435,23 +338,20 @@ void SetTracedMetrics(const Options& options, const RepResult& plain,
 }  // namespace
 
 void RunDailyLoop(const Options& options, Report* report) {
-  std::vector<TrainedLoop> loops(
-      static_cast<size_t>(Repetitions(options.seconds)));
-  for (size_t k = 0; k < loops.size(); ++k) {
-    loops[k].seed = SubSeed(options.seed, static_cast<int>(k));
-  }
-  std::vector<double> setups, days_wall, cpu;
+  const int repetitions = Repetitions(options.seconds);
+  std::vector<double> setups, throughput, cpu;
   auto account = [&](const RepResult& r) {
     report->attempted += r.attempted;
     report->failed += r.failed;
   };
 
   if (options.trace) {
-    // Repetition 0 plain (which also warms the process up), then again
-    // traced over the same work.
-    RepResult plain = RunRepetition(loops[0].seed, 0, false, nullptr);
+    // A warm-up repetition as in a timed run, then repetition 0 plain and
+    // again traced over the same work.
+    RunRepetition(SubSeed(options.seed, 1000), 0, false);
+    RepResult plain = RunRepetition(options.seed, 1, false);
     const uint64_t traced_start = NowNs();
-    RepResult traced = RunRepetition(loops[0].seed, 1, true, &loops[0].hints);
+    RepResult traced = RunRepetition(options.seed, 2, true);
     const double traced_ms =
         static_cast<double>(NowNs() - traced_start) * 1e-6 -
         traced.setup_s * 1e3;
@@ -464,26 +364,24 @@ void RunDailyLoop(const Options& options, Report* report) {
     account(traced);
     report->counters = traced.counters;
     report->digest = "loop0=" + traced.digest;
-  } else {
-    // A warm-up repetition on a sub-seed of its own brings the heap and the
-    // process-wide tables to their working size; only its set-up counts.
-    setups.push_back(
-        RunRepetition(SubSeed(options.seed, 1000), 0, false, nullptr).setup_s);
+    return;
   }
-  // The remaining repetitions (all of them in a timed run) train the loops
-  // whose hints steer the production segments below.
-  for (size_t k = options.trace ? 1 : 0; k < loops.size(); ++k) {
-    RepResult r = RunRepetition(loops[k].seed, static_cast<int>(k) + 1, false,
-                                &loops[k].hints);
+
+  // A warm-up repetition on a sub-seed of its own brings the heap and the
+  // process-wide tables to their working size; only its set-up counts.
+  setups.push_back(
+      RunRepetition(SubSeed(options.seed, 1000), 0, false).setup_s);
+  for (int k = 0; k < repetitions; ++k) {
+    RepResult r = RunRepetition(SubSeed(options.seed, k), k + 1, false);
     account(r);
     setups.push_back(r.setup_s);
-    days_wall.push_back(r.days_wall_s);
+    throughput.push_back(kTrainDays * kJobsPerDay / r.days_wall_s);
     cpu.push_back(r.cpu_s);
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "repetition %zu: %.0f jobs/s, %.3f s CPU, %.3f s wall, "
+                  "repetition %d: %.0f jobs/s, %.3f s CPU, %.3f s wall, "
                   "pn_saving %.3f%%, %zu active hints",
-                  k, kTrainDays * kJobsPerDay / r.days_wall_s, r.cpu_s,
+                  k, throughput.back(), r.cpu_s,
                   r.wall_s, r.pn_saving_pct, r.active_hints);
     report->lines.push_back(line);
     if (k == 0) {
@@ -492,26 +390,16 @@ void RunDailyLoop(const Options& options, Report* report) {
     }
   }
 
-  Digest steered;
-  std::vector<Segment> segs = RunSteered(loops, &steered);
-  Account(segs, report);
-  report->digest += " steered=" + steered.Hex();
-  SetServiceMetrics(options, segs, /*set_jobs_per_s=*/false, report);
-  if (options.trace) return;
-
-  // Means over the repetitions' sub-seeds: every repetition is a different
-  // workload, and the mean averages their sizes out.
-  double cpu_sum = 0.0, wall_sum = 0.0;
+  // Every repetition is a different workload (its own sub-seed). The
+  // median throughput is not moved by a stall of the host that hits a few
+  // of them; CPU time does not count such stalls and is averaged.
+  double cpu_sum = 0.0;
   for (double c : cpu) cpu_sum += c;
-  for (double w : days_wall) wall_sum += w;
   MetricTable& m = report->metrics;
   m.Set("setup_s", Median(setups), "s");
   m.Set("cpu_s", cpu_sum / static_cast<double>(cpu.size()), "s");
   m.Set("peak_rss_mb", PeakRssMb(), "MB");
-  m.Set("jobs_per_s",
-        static_cast<double>(days_wall.size()) * kTrainDays * kJobsPerDay /
-            wall_sum,
-        "1/s");
+  m.Set("jobs_per_s", Median(throughput), "1/s");
 }
 
 }  // namespace perfbench

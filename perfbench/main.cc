@@ -2,13 +2,11 @@
 //
 //   qo_perfbench --workload <daily_loop|serve_compile|serve_rank>
 //                --seed <n> --seconds <s> --trace <0|1>
-//                --low-qps <r> --high-qps <r> --ladder-lo <r> --ladder-hi <r>
-//                --ladder-rungs <k> --latency-limit-us <us>
 //
-// perfbench/run.py builds this binary and supplies the rates from
-// perfbench/config.json. The last line of stdout is one JSON object:
-// {"correct", "attempted", "failed", "metrics"}; with --trace 0 the metrics
-// are the end-to-end set, with --trace 1 the per-layer set. Any failed
+// perfbench/run.py builds and runs this binary. The last line of stdout is
+// one JSON object: {"correct", "attempted", "failed", "metrics"}; with
+// --trace 0 the metrics are the end-to-end set, with --trace 1 the
+// per-layer set. Any failed
 // output check exits 1 without a result; a non-Release or sanitizer build
 // exits 3 without a result.
 #include <malloc.h>
@@ -52,9 +50,7 @@ const char* const kEndToEnd[] = {"setup_s", "cpu_s", "peak_rss_mb",
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --workload <daily_loop|serve_compile|serve_rank> "
-               "--seed <n> --seconds <s> --trace <0|1> --low-qps <r> "
-               "--high-qps <r> --ladder-lo <r> --ladder-hi <r> "
-               "--ladder-rungs <k> --latency-limit-us <us>\n",
+               "--seed <n> --seconds <s> --trace <0|1>\n",
                argv0);
   return 2;
 }
@@ -72,26 +68,11 @@ bool ParseArgs(int argc, char** argv, Options* o) {
       o->seconds = std::atof(v);
     } else if (flag == "--trace") {
       o->trace = std::atoi(v) != 0;
-    } else if (flag == "--low-qps") {
-      o->low_qps = std::atof(v);
-    } else if (flag == "--high-qps") {
-      o->high_qps = std::atof(v);
-    } else if (flag == "--ladder-lo") {
-      o->ladder_lo = std::atof(v);
-    } else if (flag == "--ladder-hi") {
-      o->ladder_hi = std::atof(v);
-    } else if (flag == "--ladder-rungs") {
-      o->ladder_rungs = std::atoi(v);
-    } else if (flag == "--latency-limit-us") {
-      o->latency_limit_us = std::atof(v);
     } else {
       return false;
     }
   }
-  return !o->workload.empty() && o->seconds > 0 && o->low_qps > 0 &&
-         o->high_qps > o->low_qps && o->ladder_lo > 0 &&
-         o->ladder_hi > o->ladder_lo && o->ladder_rungs >= 2 &&
-         o->latency_limit_us > 0;
+  return !o->workload.empty() && o->seconds > 0;
 }
 
 std::string JsonEscape(const std::string& s) {

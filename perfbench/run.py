@@ -5,18 +5,21 @@
 
 Run from the repository root. The first run configures and builds
 perfbench/ (which compiles ../src) into .bench_build/perfbench; later runs
-reuse that build. The workload's fixed rates come from perfbench/config.json.
-The benchmark binary runs with every QO_* variable removed from its
-environment, so it measures the program's default settings.
+reuse that build. The benchmark binary runs with every QO_* variable removed
+from its environment, so it measures the program's default settings.
+--seed defaults to DEFAULT_SEED; HELD_OUT_SEED is kept for re-checking a
+claim on data not used while writing the change.
 
 Besides the binary's own checks, this script keeps the output digests and
-work counters of every run under .bench_build/perfbench-state and compares
-runs at the same seed: a different digest is a failed check (exit 1), a
-different work counter is reported as drift. The last line of stdout is the
-result object.
+work counters of every run under .bench_build/perfbench-state, keyed by a
+hash of the sources (src/ and perfbench/), the workload and the seed, and
+compares runs of the same sources at the same seed, timed or traced: a
+different digest is a failed check (exit 1), a different work counter is
+reported as drift. The last line of stdout is the result object.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -31,6 +34,9 @@ STATE = BUILD_ROOT / "perfbench-state"
 BINARY = BUILD / "qo_perfbench"
 RUN_TIMEOUT_S = 170
 BUILD_TIMEOUT_S = 880
+WORKLOADS = ("daily_loop", "serve_compile", "serve_rank")
+DEFAULT_SEED = 2022
+HELD_OUT_SEED = 7
 
 
 def fail(message, code=1):
@@ -68,8 +74,21 @@ def parse_kv_line(lines, prefix):
     return None
 
 
+def source_hash():
+    """Hash of every file the benchmark binary is built from."""
+    digest = hashlib.sha256()
+    for top in (ROOT / "src", HERE):
+        for path in sorted(p for p in top.rglob("*") if p.is_file()):
+            if "__pycache__" in path.parts:
+                continue
+            digest.update(str(path.relative_to(ROOT)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def compare_with_earlier(workload, seed, lines):
-    """Checks digests and work counters against earlier runs at this seed."""
+    """Checks digests and work counters against earlier runs of the same
+    sources at this seed."""
     digests = {}
     text = parse_kv_line(lines, "digest:") or ""
     for part in text.split():
@@ -78,7 +97,7 @@ def compare_with_earlier(workload, seed, lines):
     counters = json.loads(parse_kv_line(lines, "counters:") or "{}")
 
     STATE.mkdir(parents=True, exist_ok=True)
-    path = STATE / ("%s-%d.json" % (workload, seed))
+    path = STATE / ("%s-%s-%d.json" % (source_hash(), workload, seed))
     earlier = json.loads(path.read_text()) if path.is_file() else {}
     notes, problems = [], []
     for key, value in digests.items():
@@ -103,29 +122,21 @@ def compare_with_earlier(workload, seed, lines):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="workload seed (default %d; %d is held out for re-checking a "
+        "claim)" % (DEFAULT_SEED, HELD_OUT_SEED))
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = parser.parse_args()
 
-    config = json.loads((HERE / "config.json").read_text())
-    rates = config["workloads"].get(args.workload)
-    if rates is None:
-        fail("unknown workload %s (known: %s)"
-             % (args.workload, ", ".join(sorted(config["workloads"]))), 2)
     build()
 
     env = {k: v for k, v in os.environ.items() if not k.startswith("QO_")}
     stripped = sorted(k for k in os.environ if k.startswith("QO_"))
     cmd = [str(BINARY), "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--low-qps", str(rates["low_qps"]),
-           "--high-qps", str(rates["high_qps"]),
-           "--ladder-lo", str(rates["ladder_lo"]),
-           "--ladder-hi", str(rates["ladder_hi"]),
-           "--ladder-rungs", str(config["ladder_rungs"]),
-           "--latency-limit-us", str(rates["latency_limit_us"])]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     try:
         proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
                               text=True, timeout=RUN_TIMEOUT_S, check=False)

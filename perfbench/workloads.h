@@ -27,15 +27,23 @@ struct Options {
   uint64_t seed = 0;
   double seconds = 10.0;
   bool trace = false;
-  /// Fixed open-loop rates (requests per second) and the max_qps ladder.
-  double low_qps = 0.0;
-  double high_qps = 0.0;
-  double ladder_lo = 0.0;
-  double ladder_hi = 0.0;
-  int ladder_rungs = 33;
-  /// The p99 limit max_qps must meet.
-  double latency_limit_us = 1000.0;
 };
+
+/// The fixed open-loop rates of a serve_* workload (requests per second)
+/// and the range of the geometric ladder max_qps climbs.
+struct RatePlan {
+  double low_qps;
+  double high_qps;
+  double ladder_lo;
+  double ladder_hi;
+};
+
+/// Closed-loop segments of a serve_* pass: `per_second` per second of
+/// the run, at least kCheckedSegments.
+int ServeSegments(double seconds, double per_second);
+/// The first kCheckedSegments segments of a pass are digested and counted,
+/// so outputs and work counters do not depend on the run's length.
+inline constexpr int kCheckedSegments = 4;
 
 struct Report {
   MetricTable metrics;
@@ -126,13 +134,12 @@ std::vector<Segment> RunSegments(Target& target, double rate, int segments,
                                  uint64_t count, const SegmentHooks& hooks,
                                  uint64_t* next_index);
 
-/// End-to-end metrics from closed-loop segments: cpu_s (their CPU time),
-/// p50/p99 at the fixed low and high rates and max_qps (replayed, see
-/// ReplayAtRate; each the median over segments), and jobs_per_s (median
-/// segment throughput) when `set_jobs_per_s`.
-void SetServiceMetrics(const Options& options,
-                       const std::vector<Segment>& segments,
-                       bool set_jobs_per_s, Report* report);
+/// Metrics of closed-loop segments: cpu_s (CPU time of the mean segment),
+/// jobs_per_s (median segment throughput), p50/p99 at the plan's low and
+/// high rates and max_qps (replayed, see ReplayAtRate; each the median
+/// over segments).
+void SetServiceMetrics(const RatePlan& plan,
+                       const std::vector<Segment>& segments, Report* report);
 
 /// Adds the segments' requests and failures to the report.
 void Account(const std::vector<Segment>& segments, Report* report);
