@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "flighting/flighting.h"
 #include "runtime/runtime.h"
+#include "scope/compiler.h"
 #include "telemetry/workload_view.h"
 #include "workload/workload.h"
 
@@ -63,7 +64,7 @@ void BM_ExecuteSimulation(benchmark::State& state) {
   auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
   uint64_t salt = 0;
   for (auto _ : state) {
-    auto m = engine.Execute(Jobs()[0], compiled->plan, salt++);
+    auto m = engine.Execute(Jobs()[0], *compiled, salt++);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -166,14 +167,10 @@ void BM_StatsFingerprintInterned(benchmark::State& state) {
 BENCHMARK(BM_StatsFingerprintInterned);
 
 void BM_OptimizeCrossConfigMemoHit(benchmark::State& state) {
-  // A tiny L2 so rotating configs always miss the compilation cache and land
-  // on the front-end entry's cross-config memo instead: each flipped rule is
-  // an unwired placeholder the optimizer never consults, so the memo's full
-  // tier serves the stored output without an optimizer run.
-  cache::CompileCacheOptions cache_options;
-  cache_options.compilation_capacity = 16;
-  engine::ScopeEngine engine({}, {}, cache_options, {},
-                             opt::CrossConfigMemoOptions{.enabled = true});
+  // Rotating configs land on the front-end entry's cross-config memo: each
+  // flipped rule is an unwired placeholder the optimizer never consults, so
+  // the memo's full tier serves the stored output without an optimizer run.
+  engine::ScopeEngine engine;
   std::vector<opt::RuleConfig> configs;
   for (int rule = 64; rule < 128; ++rule) {
     configs.push_back(opt::RuleConfig::DefaultWithFlip(rule));
@@ -202,21 +199,16 @@ void BM_SpanComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanComputation);
 
-// --- Two-level compilation cache (src/cache/): cached vs uncached pairs.
-// The cached variants measure the steady state of the daily pipeline, where
-// every stage after the first compiles each (job, config) from cache.
-
-cache::CompileCacheOptions CacheOptions(bool enabled) {
-  cache::CompileCacheOptions options;
-  options.enabled = enabled;
-  return options;
-}
+// --- Compile cache (src/cache/ front-end memo + cross-config memo): cached
+// vs uncached pairs. The cached variants measure the steady state of the
+// daily pipeline, where every stage after the first compiles each
+// (job, config) from cache; the uncached ones pay a fresh parse per job.
 
 void BM_CompileFrontEndUncached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(false));
   size_t i = 0;
   for (auto _ : state) {
-    auto plan = engine.CompileFrontEnd(Jobs()[i % Jobs().size()]);
+    const workload::JobInstance& job = Jobs()[i % Jobs().size()];
+    auto plan = scope::CompileSource(job.script, job.catalog);
     benchmark::DoNotOptimize(plan);
     ++i;
   }
@@ -224,7 +216,7 @@ void BM_CompileFrontEndUncached(benchmark::State& state) {
 BENCHMARK(BM_CompileFrontEndUncached);
 
 void BM_CompileFrontEndCached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(true));
+  engine::ScopeEngine engine;
   size_t i = 0;
   for (auto _ : state) {
     auto plan = engine.CompileFrontEnd(Jobs()[i % Jobs().size()]);
@@ -235,9 +227,10 @@ void BM_CompileFrontEndCached(benchmark::State& state) {
 BENCHMARK(BM_CompileFrontEndCached);
 
 void BM_SpanFixpointUncached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(false));
   size_t i = 0;
   for (auto _ : state) {
+    // A fresh engine per iteration: every fix-point probe starts cold.
+    engine::ScopeEngine engine;
     auto span = advisor::ComputeJobSpan(engine, Jobs()[i % Jobs().size()]);
     benchmark::DoNotOptimize(span);
     ++i;
@@ -246,7 +239,7 @@ void BM_SpanFixpointUncached(benchmark::State& state) {
 BENCHMARK(BM_SpanFixpointUncached);
 
 void BM_SpanFixpointCached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(true));
+  engine::ScopeEngine engine;
   size_t i = 0;
   for (auto _ : state) {
     auto span = advisor::ComputeJobSpan(engine, Jobs()[i % Jobs().size()]);

@@ -1,51 +1,42 @@
-// The two-level compilation cache behind ScopeEngine::Compile.
+// The front-end memo behind ScopeEngine::Compile.
 //
-// Level 1 (front-end memo): rendered script -> parsed + resolved
-// LogicalPlan, keyed by (script hash, catalog-stats fingerprint). The front
-// end is config-independent, so the span fix-point's up-to-8 recompiles,
-// multi-flip search, recommendation recompiles and flighting all parse each
-// job occurrence exactly once — and occurrences of the same template whose
-// rendered script and statistics are identical share one parse across the
-// whole batch.
+// Rendered script -> parsed + resolved LogicalPlan, keyed by (script hash,
+// catalog-stats fingerprint). The front end is config-independent, so the
+// span fix-point's up-to-8 recompiles, multi-flip search, recommendation
+// recompiles and flighting all parse each job occurrence exactly once — and
+// occurrences of the same template whose rendered script and statistics are
+// identical share one parse across the whole batch.
 //
-// Level 2 (compilation cache): full CompilationOutput keyed by (script hash,
-// catalog-stats fingerprint, RuleConfig bits). Repeated (job, config)
-// compilations across pipeline stages — default compiles in view building,
-// span seeding, multi-flip baselines, recommendation's DefaultWithFlip
-// probes, and the A/B flights that recompile both arms — hit instead of
-// recompute.
+// Each entry carries the job's cross-config memo (optimizer/
+// cross_config_memo.h), the per-config tier of the compile cache: it maps
+// the footprint of consulted rule bits to the finished compilation, so one
+// front-end entry answers every configuration of its job that was compiled
+// before — or that agrees with one on every bit the optimizer read.
 //
-// Both levels cache failures too: a config that fails to compile keeps
-// failing identically from cache (the span fix-point and flip evaluation
-// depend on observing those failures deterministically).
+// Failures are cached too: a script that fails to parse keeps failing
+// identically from cache (the span fix-point and flip evaluation depend on
+// observing those failures deterministically).
 //
 // Invalidation is by fingerprint: statistics drift or script edits change
 // the key, and stale entries age out of the sharded LRU. Entries are
-// immutable shared_ptr<const ...>, so results are byte-identical with the
-// cache on, off, and at any thread count.
-//
-// Env knobs (read by Options::FromEnv, the ScopeEngine default):
-//   QO_COMPILE_CACHE=0            disable both levels
-//   QO_COMPILE_CACHE_CAPACITY=N   level-2 entry bound (level 1 gets N/4)
-//   QO_COMPILE_CACHE_SHARDS=N     shard count for both levels
+// immutable shared_ptr<const ...>, so results are byte-identical to a fresh
+// compile at any thread count.
 #ifndef QO_CACHE_COMPILATION_CACHE_H_
 #define QO_CACHE_COMPILATION_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cache/sharded_lru.h"
-#include "common/bitvector.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "optimizer/cross_config_memo.h"
-#include "optimizer/physical_plan.h"
 #include "scope/logical_plan.h"
-#include "telemetry/cache_telemetry.h"
 
 namespace qo::cache {
 
-/// Level-1 key: everything the config-independent front end reads.
+/// Everything the config-independent front end reads.
 struct FrontEndKey {
   uint64_t script_hash = 0;
   uint64_t catalog_fingerprint = 0;
@@ -56,22 +47,11 @@ struct FrontEndKey {
   }
 };
 
-/// Level-2 key: the front-end key plus the full rule configuration.
-struct CompilationKey {
-  FrontEndKey front_end;
-  BitVector256 config;
-
-  bool operator==(const CompilationKey& o) const {
-    return front_end == o.front_end && config == o.config;
-  }
-};
-
 struct FrontEndKeyHasher {
-  size_t operator()(const FrontEndKey& k) const;
-};
-
-struct CompilationKeyHasher {
-  size_t operator()(const CompilationKey& k) const;
+  size_t operator()(const FrontEndKey& k) const {
+    return static_cast<size_t>(
+        MixHash(k.script_hash ^ MixHash(k.catalog_fingerprint)));
+  }
 };
 
 /// An immutable cached front-end result: the logical plan, or the compile
@@ -86,68 +66,18 @@ struct CachedFrontEnd {
   mutable opt::CrossConfigMemo cross_config_memo;
 };
 
-/// An immutable cached compilation: the full optimizer output, or the
-/// compile error the (job, config) pair deterministically produces. The
-/// output is held by shared_ptr so the cross-config memo, every L2 entry it
-/// serves, and every CompileShared caller reference one CompilationOutput —
-/// a memo hit is a refcount bump, never a deep plan copy.
-struct CachedCompilation {
-  Status status;
-  /// Null exactly when !status.ok().
-  std::shared_ptr<const opt::CompilationOutput> output;
-};
-
 using FrontEndPtr = std::shared_ptr<const CachedFrontEnd>;
-using CompilationPtr = std::shared_ptr<const CachedCompilation>;
 
-struct CompileCacheOptions {
-  bool enabled = true;
-  /// Level-2 bound (full compilations; the dominant footprint).
-  size_t compilation_capacity = 16384;
-  /// Level-1 bound (logical plans; one entry serves many configs).
-  size_t front_end_capacity = 4096;
-  int num_shards = 16;
+/// Entry bound of the front-end memo (one entry serves every config of a
+/// job, so the bound is rarely reached) and its shard count.
+inline constexpr size_t kFrontEndCapacity = 4096;
+inline constexpr int kFrontEndShards = 16;
 
-  /// Reads the QO_COMPILE_CACHE* environment knobs documented above;
-  /// unset variables keep the defaults.
-  static CompileCacheOptions FromEnv();
-};
-
-/// Thread-safe two-level cache. Owned by a ScopeEngine (keys do not cover
+/// Thread-safe front-end memo. Owned by a ScopeEngine (keys do not cover
 /// optimizer options; the engine folds its options fingerprint into the
-/// catalog fingerprint, so sharing across engines stays sound).
-class CompilationCache {
- public:
-  explicit CompilationCache(CompileCacheOptions options);
-
-  /// Level 1: returns the cached front-end result for `key`, computing it
-  /// with `compile` (called without any cache lock) on miss.
-  FrontEndPtr GetOrParse(const FrontEndKey& key,
-                         const std::function<Result<scope::LogicalPlan>()>&
-                             compile);
-
-  /// Level 2: returns the cached compilation for `key`, computing it with
-  /// `compile` on miss. The miss handler returns an already-shared output so
-  /// a producer that also retains the result (the cross-config memo) never
-  /// forces a copy.
-  CompilationPtr GetOrCompile(
-      const CompilationKey& key,
-      const std::function<
-          Result<std::shared_ptr<const opt::CompilationOutput>>()>& compile);
-
-  const CompileCacheOptions& options() const { return options_; }
-
-  /// Merged hit/miss/eviction counters for both levels.
-  telemetry::CompileCacheTelemetry Telemetry() const;
-
-  void Clear();
-
- private:
-  CompileCacheOptions options_;
-  ShardedLruCache<FrontEndKey, FrontEndPtr, FrontEndKeyHasher> front_end_;
-  ShardedLruCache<CompilationKey, CompilationPtr, CompilationKeyHasher>
-      compilations_;
-};
+/// catalog fingerprint, so sharing across engines would stay sound).
+using FrontEndCache =
+    ShardedLruCache<FrontEndKey, FrontEndPtr, FrontEndKeyHasher>;
 
 }  // namespace qo::cache
 

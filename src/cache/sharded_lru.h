@@ -1,4 +1,4 @@
-// A sharded, thread-safe, LRU-bounded map used by the compilation caches.
+// A sharded, thread-safe, LRU-bounded map: the front-end compile cache.
 //
 // Sharding follows the ShardedWorkQueue convention (src/runtime/): an entry
 // lives in shard `hash(key) % num_shards`, each shard owns an independent
@@ -81,14 +81,6 @@ class ShardedLruCache {
   Value GetOrCompute(const Key& key, const std::function<Value()>& compute) {
     if (std::optional<Value> hit = Get(key)) return std::move(*hit);
     return Insert(key, compute());
-  }
-
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.lru.clear();
-      shard.index.clear();
-    }
   }
 
   size_t size() const {

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -31,29 +29,12 @@ obs::Histogram& ExecuteSpanHist() {
 
 }  // namespace
 
-ExecOptions ExecOptions::FromEnv() {
-  ExecOptions options;
-  const char* prepared = std::getenv("QO_PREPARED_EXEC");
-  if (prepared != nullptr && std::strcmp(prepared, "0") == 0) {
-    options.prepared = false;
-  }
-  return options;
-}
-
 ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
-                         exec::ClusterConfig cluster_config,
-                         cache::CompileCacheOptions cache_options,
-                         ExecOptions exec_options,
-                         opt::CrossConfigMemoOptions memo_options)
+                         exec::ClusterConfig cluster_config)
     : optimizer_options_(optimizer_options),
       simulator_(cluster_config),
-      exec_options_(exec_options),
-      memo_options_(memo_options),
       options_fingerprint_(
           cache::OptimizerOptionsFingerprint(optimizer_options)) {
-  if (cache_options.enabled) {
-    cache_ = std::make_unique<cache::CompilationCache>(cache_options);
-  }
   // Export the engine's three telemetry surfaces as registry series. The
   // callback only reads counters and writes to the sink — it never calls
   // back into the registry (whose lock is held during Snapshot()).
@@ -78,19 +59,30 @@ cache::FrontEndKey ScopeEngine::FrontEndKeyOf(
   return key;
 }
 
-Result<opt::CompilationOutput> ScopeEngine::Optimize(
-    const scope::LogicalPlan& logical, const workload::JobInstance& job,
-    const opt::RuleConfig& config) const {
-  QO_OBS_SPAN("optimize");
-  opt::Optimizer optimizer(job.catalog, optimizer_options_);
-  return optimizer.Optimize(logical, config);
+cache::FrontEndPtr ScopeEngine::GetOrParse(
+    const workload::JobInstance& job) const {
+  return front_end_.GetOrCompute(
+      FrontEndKeyOf(job), [&]() -> cache::FrontEndPtr {
+        auto entry = std::make_shared<cache::CachedFrontEnd>();
+        Result<scope::LogicalPlan> result = [&] {
+          QO_OBS_SPAN("parse");
+          return scope::CompileSource(job.script, job.catalog);
+        }();
+        if (result.ok()) {
+          entry->plan = std::move(result).value();
+        } else {
+          entry->status = result.status();
+        }
+        return entry;
+      });
 }
 
 Result<std::shared_ptr<const opt::CompilationOutput>>
 ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
                               const workload::JobInstance& job,
                               const opt::RuleConfig& config) const {
-  QO_OBS_SPAN("optimize");
+  // "optimize" spans only the optimizer runs below: a full-tier hit runs no
+  // optimizer, so it is neither counted nor timed as one.
   opt::CrossConfigMemo& memo = fe.cross_config_memo;
 
   // Full-tier probe: some earlier compile consulted only bits this config
@@ -112,8 +104,11 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
           memo.FindNorm(config.bits(), &norm_consulted)) {
     memo_norm_hits_.fetch_add(1, std::memory_order_relaxed);
     BitVector256 post_consulted;
-    Result<opt::CompilationOutput> result =
-        optimizer.OptimizeFromNormalized(*normalized, config, &post_consulted);
+    Result<opt::CompilationOutput> result = [&] {
+      QO_OBS_SPAN("optimize");
+      return optimizer.OptimizeFromNormalized(*normalized, config,
+                                              &post_consulted);
+    }();
     BitVector256 footprint = norm_consulted | post_consulted;
     if (!result.ok()) {
       memo.InsertFull(footprint, config.bits(), result.status(), nullptr);
@@ -129,8 +124,11 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
   BitVector256 post_consulted;
   std::shared_ptr<const opt::NormalizedPlan> normalized;
-  Result<opt::CompilationOutput> result = optimizer.OptimizeTracked(
-      fe.plan, config, &norm_consulted, &post_consulted, &normalized);
+  Result<opt::CompilationOutput> result = [&] {
+    QO_OBS_SPAN("optimize");
+    return optimizer.OptimizeTracked(fe.plan, config, &norm_consulted,
+                                     &post_consulted, &normalized);
+  }();
   if (normalized != nullptr) {
     memo.InsertNorm(norm_consulted, config.bits(), normalized);
   }
@@ -147,17 +145,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
 
 Result<std::shared_ptr<const scope::LogicalPlan>> ScopeEngine::CompileFrontEnd(
     const workload::JobInstance& job) const {
-  if (cache_ == nullptr) {
-    QO_OBS_SPAN("parse");
-    QO_ASSIGN_OR_RETURN(scope::LogicalPlan logical,
-                        scope::CompileSource(job.script, job.catalog));
-    return std::shared_ptr<const scope::LogicalPlan>(
-        std::make_shared<scope::LogicalPlan>(std::move(logical)));
-  }
-  cache::FrontEndPtr entry = cache_->GetOrParse(FrontEndKeyOf(job), [&] {
-    QO_OBS_SPAN("parse");
-    return scope::CompileSource(job.script, job.catalog);
-  });
+  cache::FrontEndPtr entry = GetOrParse(job);
   if (!entry->status.ok()) return entry->status;
   // Alias the plan to the cache entry: one refcount, zero copies.
   return std::shared_ptr<const scope::LogicalPlan>(entry, &entry->plan);
@@ -184,55 +172,16 @@ ScopeEngine::CompileShared(const workload::JobInstance& job,
 Result<std::shared_ptr<const opt::CompilationOutput>>
 ScopeEngine::CompileSharedImpl(const workload::JobInstance& job,
                                const opt::RuleConfig& config) const {
-  if (cache_ == nullptr) {
-    Result<scope::LogicalPlan> logical = [&] {
-      QO_OBS_SPAN("parse");
-      return scope::CompileSource(job.script, job.catalog);
-    }();
-    if (!logical.ok()) return logical.status();
-    QO_ASSIGN_OR_RETURN(opt::CompilationOutput output,
-                        Optimize(*logical, job, config));
-    return std::shared_ptr<const opt::CompilationOutput>(
-        std::make_shared<opt::CompilationOutput>(std::move(output)));
-  }
-  cache::CompilationKey key;
-  key.front_end = FrontEndKeyOf(job);
-  key.config = config.bits();
-  cache::CompilationPtr entry = cache_->GetOrCompile(
-      key, [&]() -> Result<std::shared_ptr<const opt::CompilationOutput>> {
-        // Miss handler: level 1 still memoizes the front end, so the other
-        // configs of this job skip straight to the optimizer — and the
-        // front-end entry's cross-config memo lets configs that only differ
-        // in unconsulted rule bits skip the optimizer too.
-        cache::FrontEndPtr fe = cache_->GetOrParse(key.front_end, [&] {
-          QO_OBS_SPAN("parse");
-          return scope::CompileSource(job.script, job.catalog);
-        });
-        if (!fe->status.ok()) return fe->status;
-        if (!memo_options_.enabled) {
-          QO_ASSIGN_OR_RETURN(opt::CompilationOutput output,
-                              Optimize(fe->plan, job, config));
-          return std::shared_ptr<const opt::CompilationOutput>(
-              std::make_shared<opt::CompilationOutput>(std::move(output)));
-        }
-        return OptimizeWithMemo(*fe, job, config);
-      });
-  if (!entry->status.ok()) return entry->status;
-  return entry->output;
+  // The front-end entry memoizes the parse across every config of this job,
+  // and its cross-config memo lets repeated configs, and configs that only
+  // differ in unconsulted rule bits, skip the optimizer too.
+  cache::FrontEndPtr fe = GetOrParse(job);
+  if (!fe->status.ok()) return fe->status;
+  return OptimizeWithMemo(*fe, job, config);
 }
 
 Result<opt::CompilationOutput> ScopeEngine::Compile(
     const workload::JobInstance& job, const opt::RuleConfig& config) const {
-  if (cache_ == nullptr) {
-    // No cache to share with: compile straight into the caller's value,
-    // skipping the shared_ptr wrap + deep copy of the cached path.
-    Result<scope::LogicalPlan> logical = [&] {
-      QO_OBS_SPAN("parse");
-      return scope::CompileSource(job.script, job.catalog);
-    }();
-    if (!logical.ok()) return logical.status();
-    return Optimize(*logical, job, config);
-  }
   QO_ASSIGN_OR_RETURN(std::shared_ptr<const opt::CompilationOutput> shared,
                       CompileShared(job, config));
   return opt::CompilationOutput(*shared);
@@ -255,12 +204,6 @@ uint64_t ScopeEngine::RunSeed(const workload::JobInstance& job,
 }
 
 exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
-                                      const opt::PhysicalPlan& plan,
-                                      uint64_t run_salt) const {
-  return simulator_.Execute(plan, job.catalog, RunSeed(job, run_salt));
-}
-
-exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
                                       const opt::CompilationOutput& compilation,
                                       uint64_t run_salt) const {
   if (!obs::MetricsEnabled()) return ExecuteImpl(job, compilation, run_salt);
@@ -279,9 +222,6 @@ exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
 exec::JobMetrics ScopeEngine::ExecuteImpl(
     const workload::JobInstance& job, const opt::CompilationOutput& compilation,
     uint64_t run_salt) const {
-  if (!exec_options_.prepared) {
-    return Execute(job, compilation.plan, run_salt);
-  }
   std::shared_ptr<const exec::ExecutionProfile> profile =
       PrepareProfile(job, compilation);
   return simulator_.Execute(*profile, RunSeed(job, run_salt));
@@ -295,13 +235,6 @@ std::vector<exec::JobMetrics> ScopeEngine::ExecuteRuns(
   QO_OBS_SPAN("exec.run_batch");
   std::vector<exec::JobMetrics> out;
   out.reserve(runs > 0 ? static_cast<size_t>(runs) : 0);
-  if (!exec_options_.prepared) {
-    for (int i = 0; i < runs; ++i) {
-      out.push_back(Execute(job, compilation.plan,
-                            first_salt + static_cast<uint64_t>(i)));
-    }
-    return out;
-  }
   std::shared_ptr<const exec::ExecutionProfile> profile =
       PrepareProfile(job, compilation);
   for (int i = 0; i < runs; ++i) {
@@ -358,13 +291,13 @@ ScopeEngine::TemplateHists ScopeEngine::TemplateHistsFor(
 }
 
 telemetry::CompileCacheTelemetry ScopeEngine::compile_cache_telemetry() const {
-  if (cache_ == nullptr) return telemetry::CompileCacheTelemetry{};
-  return cache_->Telemetry();
+  telemetry::CompileCacheTelemetry t;
+  t.front_end = front_end_.Counters();
+  return t;
 }
 
 telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
   telemetry::OptimizerTelemetry t;
-  t.memo_enabled = cross_config_memo_enabled();
   t.memo_full_hits = memo_full_hits_.load(std::memory_order_relaxed);
   t.memo_norm_hits = memo_norm_hits_.load(std::memory_order_relaxed);
   t.memo_misses = memo_misses_.load(std::memory_order_relaxed);
@@ -374,7 +307,6 @@ telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
 
 telemetry::ExecProfileTelemetry ScopeEngine::exec_profile_telemetry() const {
   telemetry::ExecProfileTelemetry t;
-  t.prepared_enabled = exec_options_.prepared;
   t.prepares = simulator_.profile_prepares();
   t.prepared_runs = simulator_.prepared_runs();
   t.unprepared_runs = simulator_.unprepared_runs();

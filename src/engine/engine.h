@@ -4,12 +4,17 @@
 // This is the component QO-Advisor steers: the pipeline talks to it for
 // recompilation, and the flighting service uses it for pre-production runs.
 //
-// Compilation is served through a two-level cache (src/cache/): a
-// config-independent front-end memo (script -> LogicalPlan) plus a full
-// (job, config) compilation cache, both sharded/LRU-bounded and keyed by
-// content fingerprints. The cache is transparent — results are byte-
-// identical with it on (default), off (QO_COMPILE_CACHE=0) and at any
-// thread count — it only changes how often the compiler actually runs.
+// Compilation has one path with two cache tiers: a config-independent
+// front-end memo (script -> LogicalPlan, src/cache/), sharded/LRU-bounded
+// and keyed by content fingerprints, and on each of its entries the job's
+// cross-config memo (src/optimizer/cross_config_memo.h), which serves every
+// config whose consulted rule bits agree with an earlier compile. Both are
+// transparent — results are byte-identical to a fresh parse + optimize
+// (tests compare against exactly that) at any thread count; they only
+// change how often the compiler actually runs.
+//
+// Execution has one path too: every run goes through the compilation's
+// prepared ExecutionProfile (built once, then reused by every later run).
 #ifndef QO_ENGINE_ENGINE_H_
 #define QO_ENGINE_ENGINE_H_
 
@@ -34,19 +39,6 @@
 
 namespace qo::engine {
 
-/// Execution-side engine options.
-struct ExecOptions {
-  /// Serve repeated executions of one compilation from a prepared
-  /// ExecutionProfile cached on the shared CompilationOutput. Transparent:
-  /// metrics are byte-identical either way (asserted by exec_test); off only
-  /// costs a fresh stage decomposition per run.
-  bool prepared = true;
-
-  /// Reads QO_PREPARED_EXEC (0 disables; unset/anything else keeps the
-  /// default on).
-  static ExecOptions FromEnv();
-};
-
 /// Compilation + one execution of a job. The compilation is shared with the
 /// engine's cache (immutable; copy `*compilation` if mutation is needed).
 struct JobRunResult {
@@ -56,21 +48,16 @@ struct JobRunResult {
 
 /// Facade bundling the compiler, optimizer and cluster simulator.
 ///
-/// Audited for the parallel runtime: compilation results are immutable and
-/// the compilation cache is internally synchronized (sharded mutexes); the
-/// cluster simulator seeds a local RNG per Execute call; the only
-/// process-wide state touched (RuleRegistry, lexer keyword table) is
-/// immutable after its thread-safe first-use initialization.
+/// Audited for the parallel runtime: compilation results are immutable, the
+/// front-end cache is internally synchronized (sharded mutexes) and so is
+/// each entry's cross-config memo; the cluster simulator seeds a local RNG
+/// per Execute call; the only process-wide state touched (RuleRegistry,
+/// lexer keyword table) is immutable after its thread-safe first-use
+/// initialization.
 class ScopeEngine {
  public:
-  explicit ScopeEngine(
-      opt::OptimizerOptions optimizer_options = {},
-      exec::ClusterConfig cluster_config = {},
-      cache::CompileCacheOptions cache_options =
-          cache::CompileCacheOptions::FromEnv(),
-      ExecOptions exec_options = ExecOptions::FromEnv(),
-      opt::CrossConfigMemoOptions memo_options =
-          opt::CrossConfigMemoOptions::FromEnv());
+  explicit ScopeEngine(opt::OptimizerOptions optimizer_options = {},
+                       exec::ClusterConfig cluster_config = {});
   /// Deregisters the engine's registry collector.
   ~ScopeEngine();
   ScopeEngine(const ScopeEngine&) = delete;
@@ -109,19 +96,11 @@ class ScopeEngine {
                            const opt::RuleConfig& config,
                            uint64_t run_salt) const;
 
-  /// Executes an already-compiled plan. This is the unprepared path: the
-  /// simulator re-derives the execution profile on every call. Prefer the
-  /// CompilationOutput overload on hot paths.
-  /// Thread-safety: const and pure — see Run(); safe to call concurrently.
-  exec::JobMetrics Execute(const workload::JobInstance& job,
-                           const opt::PhysicalPlan& plan,
-                           uint64_t run_salt) const;
-
-  /// Executes a shared compilation through its cached execution profile
-  /// (prepared lazily on first use, then reused by every later run — A/A,
-  /// A/B arms, eval loops). Byte-identical to the plan overload for every
-  /// salt. Thread-safety: const; the profile slot is internally
-  /// synchronized, safe to call concurrently.
+  /// Executes a compilation through its cached execution profile (prepared
+  /// lazily on first use, then reused by every later run — A/A, A/B arms,
+  /// eval loops). Byte-identical to ClusterSimulator::Execute(plan, catalog,
+  /// seed) for every salt. Thread-safety: const and pure — see Run(); the
+  /// profile slot is internally synchronized, safe to call concurrently.
   exec::JobMetrics Execute(const workload::JobInstance& job,
                            const opt::CompilationOutput& compilation,
                            uint64_t run_salt) const;
@@ -136,8 +115,7 @@ class ScopeEngine {
 
   /// The compilation's execution profile: reuses the slot when it already
   /// holds a profile for this engine's cluster config, otherwise prepares
-  /// (and publishes) one. Always prepares, regardless of the QO_PREPARED_EXEC
-  /// knob — the knob only steers Run/Execute routing.
+  /// (and publishes) one.
   std::shared_ptr<const exec::ExecutionProfile> PrepareProfile(
       const workload::JobInstance& job,
       const opt::CompilationOutput& compilation) const;
@@ -149,21 +127,12 @@ class ScopeEngine {
     return simulator_.config();
   }
 
-  /// True when the two-level compilation cache is active.
-  bool compile_cache_enabled() const { return cache_ != nullptr; }
-  /// Hit/miss/eviction counters (all zero when the cache is disabled).
+  /// Front-end cache hit/miss/eviction counters.
   telemetry::CompileCacheTelemetry compile_cache_telemetry() const;
 
-  /// True when Run/Execute serve repeated runs from prepared profiles.
-  bool prepared_exec_enabled() const { return exec_options_.prepared; }
-  /// Prepare/reuse counters for the prepared-execution path.
+  /// Prepare/reuse counters for the execution profiles.
   telemetry::ExecProfileTelemetry exec_profile_telemetry() const;
 
-  /// True when L2 misses probe the per-job cross-config memo. Requires the
-  /// compile cache (the memo rides on front-end entries).
-  bool cross_config_memo_enabled() const {
-    return memo_options_.enabled && cache_ != nullptr;
-  }
   /// Cross-config memo hit/miss counters plus the process-wide interned
   /// symbol count.
   telemetry::OptimizerTelemetry optimizer_telemetry() const;
@@ -192,15 +161,12 @@ class ScopeEngine {
     obs::Histogram* exec_ns = nullptr;
   };
   TemplateHists TemplateHistsFor(const workload::JobInstance& job) const;
-  /// The uncached compile path (also the cache's miss handler when the
-  /// cross-config memo is off).
-  Result<opt::CompilationOutput> Optimize(const scope::LogicalPlan& logical,
-                                          const workload::JobInstance& job,
-                                          const opt::RuleConfig& config) const;
-  /// L2-miss handler with the cross-config memo: probes the front-end
-  /// entry's footprint memo before (and feeds it after) a real optimizer
-  /// run. Returns a shared output — a full-tier hit and the memo insert are
-  /// both refcount bumps on the one immutable CompilationOutput.
+  /// The job's front-end cache entry, parsing on a miss.
+  cache::FrontEndPtr GetOrParse(const workload::JobInstance& job) const;
+  /// Probes the front-end entry's footprint memo before (and feeds it after)
+  /// a real optimizer run. Returns a shared output — a full-tier hit and the
+  /// memo insert are both refcount bumps on the one immutable
+  /// CompilationOutput.
   Result<std::shared_ptr<const opt::CompilationOutput>> OptimizeWithMemo(
       const cache::CachedFrontEnd& fe, const workload::JobInstance& job,
       const opt::RuleConfig& config) const;
@@ -208,13 +174,11 @@ class ScopeEngine {
 
   opt::OptimizerOptions optimizer_options_;
   exec::ClusterSimulator simulator_;
-  ExecOptions exec_options_;
-  opt::CrossConfigMemoOptions memo_options_;
   /// Folded into every cache key so options changes can never alias.
   uint64_t options_fingerprint_ = 0;
-  /// Null when disabled. Mutable state behind const Compile; internally
-  /// synchronized.
-  std::unique_ptr<cache::CompilationCache> cache_;
+  /// Mutable state behind const Compile; internally synchronized.
+  mutable cache::FrontEndCache front_end_{cache::kFrontEndCapacity,
+                                          cache::kFrontEndShards};
   /// Profile-slot reuse counters (relaxed; monotone under concurrency).
   mutable std::atomic<uint64_t> profile_hits_{0};
   mutable std::atomic<uint64_t> profile_misses_{0};

@@ -1,5 +1,5 @@
-// Per-job cross-config optimizer memo (the tentpole of the interned-symbol
-// refactor).
+// Per-job cross-config optimizer memo: the per-config tier of the compile
+// cache.
 //
 // The steering pipeline compiles every job under many rule configurations:
 // the span fix-point probes batches of flips, the recommender evaluates one
@@ -7,20 +7,20 @@
 // more. Most of those configs differ only in rule bits the optimizer never
 // reads for this particular job — a join-rule flip on a join-free job, or a
 // flip of one of the ~220 placeholder rule ids that are not wired to any
-// behavior. The L2 compilation cache keys on the *full* 256-bit config, so
-// each such flip is a miss and a full recompile.
+// behavior — and many are exact repeats of a config compiled earlier.
 //
-// This memo keys on the compile's *footprint* instead: the exact set of rule
-// bits the optimizer consulted (RuleConfig::TrackConsulted) and their values.
+// This memo keys on the compile's *footprint*: the exact set of rule bits
+// the optimizer consulted (RuleConfig::TrackConsulted) and their values.
 // A compilation is a pure function of (front-end plan, catalog, optimizer
 // options, values of consulted bits) — the first three are fixed by the
 // front-end cache entry this memo hangs off — so any config that agrees on
-// every consulted bit provably produces byte-identical output.
+// every consulted bit, a repeat of the same config included, provably
+// produces byte-identical output.
 //
 // Two tiers:
 //  - Full tier: footprint of the whole compile -> CompilationOutput (or the
-//    deterministic compile error). Serves flips of rules this job never
-//    consults.
+//    deterministic compile error). Serves repeated configs and flips of
+//    rules this job never consults.
 //  - Normalized tier: footprint of validate+normalize only -> the normalized
 //    logical plan. Normalization consults only the rewrite-rule bits, so
 //    flips of exploration/implementation rules reuse the normalized plan and
@@ -32,9 +32,6 @@
 // maintaining an index. Capacity is bounded by dropping new inserts when
 // full; since every entry is provably equal to a fresh compile, eviction
 // policy can change hit *counts* but never output bytes.
-//
-// Env knob: QO_CROSS_CONFIG_MEMO=0 disables the memo (byte-identity leg in
-// CI compiles everything the slow way and diffs the figures).
 #ifndef QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 #define QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 
@@ -48,22 +45,14 @@
 
 namespace qo::opt {
 
-struct CrossConfigMemoOptions {
-  bool enabled = true;
-
-  /// Reads QO_CROSS_CONFIG_MEMO (set to "0" to disable); unset keeps the
-  /// default.
-  static CrossConfigMemoOptions FromEnv();
-};
-
 /// Thread-safe two-tier footprint memo. One instance per cached front-end
 /// entry (same lifetime as the logical plan it describes).
 class CrossConfigMemo {
  public:
   /// Full-tier probe: if some stored compile's footprint agrees with
   /// `config`, stores its result into `status` / `output` and returns true.
-  /// The output is shared, not copied — entries hold the same immutable
-  /// CompilationOutput the compilation cache serves.
+  /// The output is shared, not copied — every hit hands out the one
+  /// immutable CompilationOutput the miss produced.
   bool FindFull(const BitVector256& config, Status* status,
                 std::shared_ptr<const CompilationOutput>* output) const;
 
@@ -93,7 +82,7 @@ class CrossConfigMemo {
     BitVector256 consulted;
     BitVector256 values;  ///< config bits at the consulted positions
     Status status;
-    /// Shared with the compilation cache; null when !status.ok().
+    /// Shared with every caller it served; null when !status.ok().
     std::shared_ptr<const CompilationOutput> output;
   };
   struct NormEntry {

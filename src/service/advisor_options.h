@@ -1,11 +1,10 @@
 // One aggregate for every environment knob the advisor stack reads.
 //
-// Before the service layer, six option structs each read the environment at
-// their own construction time (RuntimeOptions/CompileCacheOptions/
-// ExecOptions/CrossConfigMemoOptions/GuardConfig via FromEnv defaults, plus
-// the QO_METRICS/QO_OBS_*/QO_TRACE observability knobs cached on first
-// use). A long-running process could therefore observe *different* env
-// values per subsystem depending on construction order. AdvisorOptions
+// Before the service layer, option structs each read the environment at
+// their own construction time (RuntimeOptions/GuardConfig via FromEnv
+// defaults, plus the QO_METRICS/QO_OBS_*/QO_TRACE observability knobs cached
+// on first use). A long-running process could therefore observe *different*
+// env values per subsystem depending on construction order. AdvisorOptions
 // fixes the inconsistency: FromEnv() snapshots every knob exactly once, and
 // the AdvisorService threads the captured values explicitly into each
 // subsystem it builds — nothing downstream of the service re-reads the
@@ -13,9 +12,6 @@
 //
 // Knob map (legacy reader -> field):
 //   QO_THREADS                 -> runtime.num_threads
-//   QO_COMPILE_CACHE[_*]       -> compile_cache.{enabled,capacities,shards}
-//   QO_PREPARED_EXEC           -> exec.prepared
-//   QO_CROSS_CONFIG_MEMO       -> memo.enabled
 //   QO_GUARD + QO_FAULT_*      -> guard.{enabled,faults}
 //   QO_METRICS                 -> obs.metrics
 //   QO_OBS_REPORT / QO_OBS_LABEL / QO_TRACE -> obs.{report_path,label,trace_path}
@@ -28,10 +24,7 @@
 
 #include <string>
 
-#include "cache/compilation_cache.h"
-#include "engine/engine.h"
 #include "guard/guardrail.h"
-#include "optimizer/cross_config_memo.h"
 #include "runtime/runtime.h"
 
 namespace qo::service {
@@ -63,9 +56,6 @@ struct ObsOptions {
 /// of each subsystem — constructing AdvisorOptions{} performs no env reads.
 struct AdvisorOptions {
   runtime::RuntimeOptions runtime;
-  cache::CompileCacheOptions compile_cache;
-  engine::ExecOptions exec;
-  opt::CrossConfigMemoOptions memo;
   /// Guardrails + fault injection. Default-inert (enabled=false, no fault
   /// probabilities), matching GuardConfig{}.
   guard::GuardConfig guard;

@@ -33,16 +33,12 @@ uint64_t ServiceSnapshot::Fingerprint(const ServiceSnapshot& snap) {
 }
 
 AdvisorService::TenantState::TenantState(std::string tenant_name,
-                                         TenantConfig cfg,
-                                         const AdvisorOptions& options)
+                                         TenantConfig cfg)
     : name(std::move(tenant_name)),
       config(WithRetrainOwnership(std::move(cfg))),
       owned_engine(config.engine != nullptr
                        ? nullptr
-                       : std::make_unique<engine::ScopeEngine>(
-                             opt::OptimizerOptions{}, exec::ClusterConfig{},
-                             options.compile_cache, options.exec,
-                             options.memo)),
+                       : std::make_unique<engine::ScopeEngine>()),
       engine(config.engine != nullptr ? config.engine : owned_engine.get()),
       sis(config.sis),
       personalizer(config.personalizer) {}
@@ -79,8 +75,7 @@ Result<TenantSession> AdvisorService::OpenTenant(const std::string& tenant,
   if (!inserted) {
     return Status::AlreadyExists("tenant already open: " + tenant);
   }
-  it->second =
-      std::make_unique<TenantState>(tenant, std::move(config), options_);
+  it->second = std::make_unique<TenantState>(tenant, std::move(config));
   TenantState& t = *it->second;
   // Sequence 1: cold model, empty hint view. Published before the tenant is
   // visible to any API call, so readers never observe a null snapshot.

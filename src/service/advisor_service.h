@@ -271,8 +271,7 @@ class AdvisorService : public AdvisorApi {
     uint64_t publications = 0;      ///< == last published sequence
     uint64_t model_generation = 0;  ///< retrains folded into the learner
 
-    TenantState(std::string tenant_name, TenantConfig cfg,
-                const AdvisorOptions& options);
+    TenantState(std::string tenant_name, TenantConfig cfg);
   };
 
   TenantState* FindTenant(const std::string& tenant) const;

@@ -1,6 +1,6 @@
-// Telemetry counters for the compilation caches (src/cache/).
+// Telemetry counters for the front-end compile cache (src/cache/).
 //
-// The caches themselves keep per-shard counters under their shard locks;
+// The cache itself keeps per-shard counters under its shard locks;
 // this header defines the merged snapshot shape the rest of the system
 // consumes — pipeline reports, benches and tests read these instead of
 // poking at cache internals.
@@ -31,23 +31,20 @@ struct CacheCounters {
   }
 };
 
-/// Snapshot of the two-level compilation cache: the config-independent
-/// front-end memo (script -> logical plan) and the full (job, config)
-/// compilation cache.
+/// Snapshot of the config-independent front-end memo (script -> logical
+/// plan). Per-config reuse is counted by the cross-config memo
+/// (optimizer_telemetry.h).
 struct CompileCacheTelemetry {
-  bool enabled = false;
   CacheCounters front_end;
-  CacheCounters compilations;
 
   /// Human-readable multi-line dump for benches and debugging.
   std::string ToString() const;
 };
 
-/// Exports the snapshot as registry series ("cache.enabled",
-/// "cache.front_end.hits", "cache.compilations.hit_rate", ...). The engine
-/// registers this as a registry collector, so every MetricsSnapshot / run
-/// report carries the cache surface. "cache.enabled"=0 with zero counters
-/// distinguishes cache-off from an idle cache.
+/// Exports the snapshot as registry series ("cache.front_end.hits",
+/// "cache.front_end.hit_rate", ...). The engine registers this as a registry
+/// collector, so every MetricsSnapshot / run report carries the cache
+/// surface.
 void ExportSeries(const CompileCacheTelemetry& t, obs::SeriesSink& sink);
 
 }  // namespace qo::telemetry

@@ -8,10 +8,9 @@ std::string ExecProfileTelemetry::ToString() const {
   char line[224];
   std::snprintf(
       line, sizeof(line),
-      "exec profiles:%s\n"
+      "exec profiles:\n"
       "  prepares=%llu prepared_runs=%llu unprepared_runs=%llu "
       "slot_hits=%llu slot_misses=%llu reuse_rate=%.1f%%\n",
-      prepared_enabled ? "" : " (prepared exec disabled)",
       static_cast<unsigned long long>(prepares),
       static_cast<unsigned long long>(prepared_runs),
       static_cast<unsigned long long>(unprepared_runs),
@@ -21,7 +20,6 @@ std::string ExecProfileTelemetry::ToString() const {
 }
 
 void ExportSeries(const ExecProfileTelemetry& t, obs::SeriesSink& sink) {
-  sink.Add("exec.prepared_enabled", t.prepared_enabled ? 1.0 : 0.0);
   sink.Add("exec.prepares", static_cast<double>(t.prepares));
   sink.Add("exec.prepared_runs", static_cast<double>(t.prepared_runs));
   sink.Add("exec.unprepared_runs", static_cast<double>(t.unprepared_runs));

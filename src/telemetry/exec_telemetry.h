@@ -19,8 +19,6 @@ namespace qo::telemetry {
 /// deterministic work inline, and how often the engine's per-compilation
 /// profile slot was reused vs filled.
 struct ExecProfileTelemetry {
-  /// False when QO_PREPARED_EXEC=0 pinned the engine to the legacy path.
-  bool prepared_enabled = false;
   uint64_t prepares = 0;         ///< full Prepare() computations
   uint64_t prepared_runs = 0;    ///< Execute(profile, seed) runs
   uint64_t unprepared_runs = 0;  ///< legacy Execute(plan, catalog, seed) runs
@@ -40,8 +38,8 @@ struct ExecProfileTelemetry {
   std::string ToString() const;
 };
 
-/// Exports the snapshot as registry series ("exec.prepared_enabled",
-/// "exec.prepares", "exec.reuse_rate", ...).
+/// Exports the snapshot as registry series ("exec.prepares",
+/// "exec.reuse_rate", ...).
 void ExportSeries(const ExecProfileTelemetry& t, obs::SeriesSink& sink);
 
 }  // namespace qo::telemetry

@@ -1,15 +1,17 @@
 // Execution simulator tests: stage decomposition (including shared-subtree
 // DAG golden cases), metric determinism, byte-identity of the prepared
-// execution path against the legacy per-run decomposition (standalone, under
-// concurrency, and through the full fig10-12/table2 pipeline), and the
-// variability model's statistical structure.
+// execution path against a per-run decomposition (standalone and under
+// concurrency), a pinned digest of the full fig10-12/table2 pipeline, and
+// the variability model's statistical structure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/kernels/kernels.h"
 #include "common/stats.h"
 #include "engine/engine.h"
@@ -359,48 +361,36 @@ const workload::JobInstance& EngineTestJob() {
   return *job;
 }
 
-TEST(EnginePreparedTest, ExecuteOverloadsAndKnobAgree) {
-  // Pin both knobs so the test is independent of the CI matrix leg's
-  // QO_PREPARED_EXEC / QO_COMPILE_CACHE environment.
-  engine::ScopeEngine prepared({}, {}, cache::CompileCacheOptions::FromEnv(),
-                               {.prepared = true});
-  engine::ScopeEngine legacy({}, {}, cache::CompileCacheOptions::FromEnv(),
-                             {.prepared = false});
-  EXPECT_TRUE(prepared.prepared_exec_enabled());
-  EXPECT_FALSE(legacy.prepared_exec_enabled());
+TEST(EnginePreparedTest, SharedProfileAgreesWithFreshProfileAndBatch) {
+  engine::ScopeEngine engine;
   const workload::JobInstance& job = EngineTestJob();
-  auto compiled = prepared.CompileShared(job, opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(job, opt::RuleConfig::Default());
   ASSERT_TRUE(compiled.ok());
-  auto compiled_legacy = legacy.CompileShared(job, opt::RuleConfig::Default());
-  ASSERT_TRUE(compiled_legacy.ok());
   for (uint64_t salt : {0ull, 1ull, 17ull, 123456789ull}) {
-    JobMetrics via_profile = prepared.Execute(job, **compiled, salt);
-    JobMetrics via_plan = prepared.Execute(job, (*compiled)->plan, salt);
-    JobMetrics via_legacy_engine =
-        legacy.Execute(job, **compiled_legacy, salt);
-    ExpectMetricsBitEqual(via_profile, via_plan);
-    ExpectMetricsBitEqual(via_profile, via_legacy_engine);
+    // The shared compilation reuses its slot's profile after the first run;
+    // a copy starts with an empty slot and prepares its own.
+    JobMetrics via_slot = engine.Execute(job, **compiled, salt);
+    JobMetrics via_fresh =
+        engine.Execute(job, opt::CompilationOutput(**compiled), salt);
+    ExpectMetricsBitEqual(via_slot, via_fresh);
   }
-  std::vector<JobMetrics> batch = prepared.ExecuteRuns(job, **compiled, 50, 8);
+  std::vector<JobMetrics> batch = engine.ExecuteRuns(job, **compiled, 50, 8);
   ASSERT_EQ(batch.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    ExpectMetricsBitEqual(batch[i], prepared.Execute(job, **compiled, 50 + i));
+    ExpectMetricsBitEqual(batch[i], engine.Execute(job, **compiled, 50 + i));
   }
 }
 
 TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
-  // The compile cache must be on regardless of the CI matrix leg's
-  // QO_COMPILE_CACHE: slot reuse rides on both runs sharing one cached
-  // CompilationOutput.
-  engine::ScopeEngine engine({}, {}, {.enabled = true}, {});
+  // Slot reuse rides on both runs sharing one cached CompilationOutput.
+  engine::ScopeEngine engine;
   const workload::JobInstance& job = EngineTestJob();
   auto first = engine.Run(job, opt::RuleConfig::Default(), 1);
   ASSERT_TRUE(first.ok());
   auto again = engine.Run(job, opt::RuleConfig::Default(), 2);
   ASSERT_TRUE(again.ok());
   telemetry::ExecProfileTelemetry t = engine.exec_profile_telemetry();
-  EXPECT_TRUE(t.prepared_enabled);
-  // The compilation cache hands back the same CompilationOutput, so the
+  // The compile cache hands back the same CompilationOutput, so the
   // second run reuses the profile prepared by the first.
   EXPECT_EQ(t.prepares, 1u);
   EXPECT_EQ(t.profile_misses, 1u);
@@ -411,22 +401,11 @@ TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
   EXPECT_EQ(profile.get(), first->compilation->exec_profile.Load().get());
 }
 
-TEST(EnginePreparedTest, FromEnvKnobParses) {
-  const char* saved = std::getenv("QO_PREPARED_EXEC");
-  setenv("QO_PREPARED_EXEC", "0", 1);
-  EXPECT_FALSE(engine::ExecOptions::FromEnv().prepared);
-  setenv("QO_PREPARED_EXEC", "1", 1);
-  EXPECT_TRUE(engine::ExecOptions::FromEnv().prepared);
-  unsetenv("QO_PREPARED_EXEC");
-  EXPECT_TRUE(engine::ExecOptions::FromEnv().prepared);
-  if (saved != nullptr) setenv("QO_PREPARED_EXEC", saved, 1);
-}
-
 TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   // A profile bakes in scan sizes from the catalog; if a job's statistics
   // drift, the prepared overload must re-prepare rather than serve metrics
   // for the old table sizes.
-  engine::ScopeEngine engine({}, {}, {.enabled = true}, {.prepared = true});
+  engine::ScopeEngine engine;
   workload::JobInstance job;
   job.job_id = "drift_job";
   job.script = R"(
@@ -445,24 +424,22 @@ TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   fact.true_rows *= 2;
   job.catalog.RegisterTable("fact", fact);
   JobMetrics after_prepared = engine.Execute(job, **compiled, 3);
-  JobMetrics after_plan = engine.Execute(job, (*compiled)->plan, 3);
-  // The prepared path must track the drifted catalog exactly like the
-  // legacy path does (and the drift must actually change the metrics).
-  ExpectMetricsBitEqual(after_prepared, after_plan);
+  // A copy has an empty slot, so it prepares against the drifted catalog.
+  JobMetrics after_fresh =
+      engine.Execute(job, opt::CompilationOutput(**compiled), 3);
+  // The slot's stale profile must not be served (and the drift must
+  // actually change the metrics).
+  ExpectMetricsBitEqual(after_prepared, after_fresh);
   EXPECT_NE(before.pn_hours, after_prepared.pn_hours);
 }
 
 // ---------------------------------------------------------------------------
-// Full pipeline byte-identity: the fig10-12/table2 aggregate-impact runs
-// (train + eval) must be unchanged by prepared execution, with the compile
-// cache on or off and at 1 or 4 worker threads.
+// Full pipeline identity: the fig10-12/table2 aggregate-impact runs (train +
+// eval) must match a pinned digest at 1 or 4 worker threads.
 // ---------------------------------------------------------------------------
 
-experiments::AggregateImpactResult RunPipeline(int prepared, int compile_cache,
-                                               int threads) {
-  experiments::ExperimentEnv env({.threads = threads,
-                                  .compile_cache = compile_cache,
-                                  .prepared_exec = prepared});
+experiments::AggregateImpactResult RunPipeline(int threads) {
+  experiments::ExperimentEnv env({.threads = threads});
   return experiments::RunAggregateImpact(env, /*train_days=*/12,
                                          /*eval_days=*/3);
 }
@@ -480,26 +457,41 @@ void ExpectAggregateEqual(const experiments::AggregateImpactResult& a,
   EXPECT_EQ(a.vertices_deltas, b.vertices_deltas) << label;
 }
 
-TEST(PreparedPipelineTest, AggregateImpactByteIdenticalAcrossMatrix) {
-  experiments::AggregateImpactResult reference = RunPipeline(
-      /*prepared=*/1, /*compile_cache=*/1, /*threads=*/1);
-  // The pipeline must have produced hints and matched jobs for the
-  // comparison to mean anything.
-  ASSERT_GT(reference.matched_jobs, 0);
-  ASSERT_GT(reference.active_hints, 0u);
-  for (int compile_cache : {1, 0}) {
-    for (int threads : {1, 4}) {
-      char label[64];
-      std::snprintf(label, sizeof(label), "cache=%d threads=%d", compile_cache,
-                    threads);
-      experiments::AggregateImpactResult unprepared =
-          RunPipeline(0, compile_cache, threads);
-      ExpectAggregateEqual(reference, unprepared, label);
-      if (compile_cache == 1 && threads == 1) continue;  // the reference
-      experiments::AggregateImpactResult prepared =
-          RunPipeline(1, compile_cache, threads);
-      ExpectAggregateEqual(reference, prepared, label);
-    }
+/// Digest of every field ExpectAggregateEqual compares.
+uint64_t Digest(const experiments::AggregateImpactResult& r) {
+  std::string all = std::to_string(r.matched_jobs);
+  all += ',';
+  all += std::to_string(r.active_hints);
+  char buf[40];
+  auto add = [&](double v) {
+    std::snprintf(buf, sizeof(buf), ",%.17g", v);
+    all += buf;
+  };
+  add(r.pn_hours_reduction);
+  add(r.latency_reduction);
+  add(r.vertices_reduction);
+  for (const std::vector<double>* deltas :
+       {&r.pn_deltas, &r.latency_deltas, &r.vertices_deltas}) {
+    all += '|';
+    for (double v : *deltas) add(v);
+  }
+  return HashString(all);
+}
+
+// Recorded from the uncached, unprepared reference path (a fresh parse +
+// optimize per compile, a fresh stage decomposition per run) before that
+// path was removed. An intentional output change updates this value and
+// says why in CHANGES.md.
+constexpr uint64_t kAggregateImpactDigest = 0xaff6223ec0ba80d2ULL;
+
+TEST(PreparedPipelineTest, AggregateImpactMatchesPinnedDigest) {
+  for (int threads : {1, 4}) {
+    experiments::AggregateImpactResult run = RunPipeline(threads);
+    // The pipeline must have produced hints and matched jobs for the
+    // comparison to mean anything.
+    ASSERT_GT(run.matched_jobs, 0);
+    ASSERT_GT(run.active_hints, 0u);
+    EXPECT_EQ(Digest(run), kAggregateImpactDigest) << "threads=" << threads;
   }
 }
 
@@ -533,8 +525,7 @@ TEST(KernelTableExecTest, PipelineByteIdenticalAcrossTablesAndThreads) {
   // fig10-12/table2 aggregate-impact pipeline at 1 and 4 worker threads
   // must be byte-identical under the scalar and AVX2 kernel tables.
   kernels::SetActiveTableForTest(&kernels::ScalarTable());
-  experiments::AggregateImpactResult reference =
-      RunPipeline(/*prepared=*/1, /*compile_cache=*/1, /*threads=*/1);
+  experiments::AggregateImpactResult reference = RunPipeline(/*threads=*/1);
   ASSERT_GT(reference.matched_jobs, 0);
   for (const kernels::KernelTable* kt :
        {&kernels::ScalarTable(), &kernels::Avx2Table()}) {
@@ -544,7 +535,7 @@ TEST(KernelTableExecTest, PipelineByteIdenticalAcrossTablesAndThreads) {
       char label[64];
       std::snprintf(label, sizeof(label), "table=%s threads=%d", kt->name,
                     threads);
-      ExpectAggregateEqual(reference, RunPipeline(1, 1, threads), label);
+      ExpectAggregateEqual(reference, RunPipeline(threads), label);
     }
   }
   kernels::SetActiveTableForTest(nullptr);

@@ -387,7 +387,7 @@ TEST(OptimizerPlanTest, DeterministicAcrossRepeatedCalls) {
 
 // ---------------------------------------------------------------------------
 // Cross-config memo golden: the memo is an invisible accelerator. Outputs
-// must be byte-identical with it on vs off, at any thread count.
+// must be byte-identical to a fresh parse + optimize, at any thread count.
 // ---------------------------------------------------------------------------
 
 workload::JobInstance MemoJob() {
@@ -421,51 +421,78 @@ std::string OutputKey(const CompilationOutput& out) {
   return out.plan.ToString() + "|" + cost + "|" + out.signature.ToString();
 }
 
-TEST(CrossConfigMemoTest, OutputsIdenticalWithMemoOnAndOff) {
-  workload::JobInstance job = MemoJob();
-  engine::ScopeEngine with_memo({}, {}, {}, {},
-                                opt::CrossConfigMemoOptions{.enabled = true});
-  engine::ScopeEngine without_memo(
-      {}, {}, {}, {}, opt::CrossConfigMemoOptions{.enabled = false});
-  ASSERT_TRUE(with_memo.cross_config_memo_enabled());
-  ASSERT_FALSE(without_memo.cross_config_memo_enabled());
-
-  for (const RuleConfig& config : MemoConfigs()) {
-    auto a = with_memo.Compile(job, config);
-    auto b = without_memo.Compile(job, config);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(OutputKey(*a), OutputKey(*b));
+/// MemoConfigs() plus every single flip of the default configuration: the
+/// recommender's full sweep over one job.
+std::vector<RuleConfig> SweepConfigs() {
+  std::vector<RuleConfig> configs = MemoConfigs();
+  for (int r = 0; r < 256; ++r) {
+    configs.push_back(RuleConfig::DefaultWithFlip(r));
   }
+  return configs;
+}
 
-  // The config sweep must actually have exercised the memo: config 100 is
+/// The reference oracle: a fresh parse + optimize with no engine, cache or
+/// memo. Returns the output key, or the error text of a failing config.
+std::string ReferenceKey(const workload::JobInstance& job,
+                         const RuleConfig& config) {
+  auto plan = scope::CompileSource(job.script, job.catalog);
+  if (!plan.ok()) return plan.status().ToString();
+  auto out = Optimizer(job.catalog, {}).Optimize(*plan, config);
+  return out.ok() ? OutputKey(*out) : out.status().ToString();
+}
+
+TEST(CrossConfigMemoTest, OutputsIdenticalToFreshCompile) {
+  workload::JobInstance job = MemoJob();
+  auto plan = scope::CompileSource(job.script, job.catalog);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<RuleConfig> configs = SweepConfigs();
+  engine::ScopeEngine engine;
+
+  telemetry::OptimizerTelemetry first_pass;
+  size_t failing = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < configs.size(); ++i) {
+      auto got = engine.Compile(job, configs[i]);
+      auto want = Optimizer(job.catalog, {}).Optimize(*plan, configs[i]);
+      ASSERT_EQ(got.ok(), want.ok()) << "config " << i;
+      if (!want.ok()) {
+        EXPECT_EQ(got.status(), want.status()) << "config " << i;
+        if (pass == 0) ++failing;
+        continue;
+      }
+      EXPECT_EQ(OutputKey(*got), OutputKey(*want)) << "config " << i;
+    }
+    if (pass == 0) first_pass = engine.optimizer_telemetry();
+  }
+  // The sweep must include failing configs for the Status check to bite.
+  EXPECT_GT(failing, 0u);
+
+  // The first pass must actually have exercised the memo: config 100 is
   // never consulted (full-tier hit) and the exploration flip reuses the
   // normalized plan (normalized-tier hit).
-  telemetry::OptimizerTelemetry t = with_memo.optimizer_telemetry();
-  EXPECT_GT(t.memo_full_hits, 0u);
-  EXPECT_GT(t.memo_norm_hits, 0u);
-  EXPECT_GT(t.memo_misses, 0u);
-  EXPECT_EQ(without_memo.optimizer_telemetry().memo_lookups(), 0u);
+  EXPECT_GT(first_pass.memo_full_hits, 0u);
+  EXPECT_GT(first_pass.memo_norm_hits, 0u);
+  EXPECT_GT(first_pass.memo_misses, 0u);
+  // The second pass is served entirely by the full tier: a whole
+  // recommender sweep fits under the memo's full-tier bound, so the memo
+  // alone caches every config of the job.
+  telemetry::OptimizerTelemetry t = engine.optimizer_telemetry();
+  EXPECT_EQ(t.memo_misses, first_pass.memo_misses);
+  EXPECT_EQ(t.memo_norm_hits, first_pass.memo_norm_hits);
+  EXPECT_EQ(t.memo_full_hits - first_pass.memo_full_hits, configs.size());
 }
 
 TEST(CrossConfigMemoTest, ThreadCountDoesNotChangeOutputs) {
   workload::JobInstance job = MemoJob();
-  std::vector<RuleConfig> configs = MemoConfigs();
-
-  // Reference: serial compile through a memo-enabled engine.
-  engine::ScopeEngine serial({}, {}, {}, {},
-                             opt::CrossConfigMemoOptions{.enabled = true});
+  std::vector<RuleConfig> configs = SweepConfigs();
   std::vector<std::string> expected;
   for (const RuleConfig& config : configs) {
-    auto out = serial.Compile(job, config);
-    ASSERT_TRUE(out.ok()) << out.status();
-    expected.push_back(OutputKey(*out));
+    expected.push_back(ReferenceKey(job, config));
   }
 
-  // Same sweep fanned out over 4 worker threads, twice over so later
+  // The sweep fanned out over 4 worker threads, twice over so later
   // iterations race against fully warmed memo tiers.
-  engine::ScopeEngine threaded({}, {}, {}, {},
-                               opt::CrossConfigMemoOptions{.enabled = true});
+  engine::ScopeEngine threaded;
   runtime::ParallelRuntime pool({.num_threads = 4});
   std::vector<std::string> got = pool.TransformOrdered<std::string>(
       configs.size() * 2, [](size_t i) { return i; },
