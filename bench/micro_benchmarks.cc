@@ -13,6 +13,7 @@
 #include "core/span.h"
 #include "engine/engine.h"
 #include "flighting/flighting.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
 #include "telemetry/workload_view.h"
@@ -177,14 +178,22 @@ void BM_OptimizeCrossConfigMemoHit(benchmark::State& state) {
   }
   // Warm: the one real optimizer run whose footprint covers every flip.
   benchmark::DoNotOptimize(engine.Compile(Jobs()[0], opt::RuleConfig::Default()));
+  const obs::MetricsSnapshot before = obs::Registry::Get().Snapshot();
   size_t i = 0;
   for (auto _ : state) {
     auto out = engine.Compile(Jobs()[0], configs[i % configs.size()]);
     benchmark::DoNotOptimize(out);
     ++i;
   }
-  auto t = engine.optimizer_telemetry();
-  state.counters["memo_hit_rate"] = t.memo_hit_rate();
+  // Memo counts added by the timed loop, read from the registry.
+  const obs::MetricsSnapshot after = obs::Registry::Get().Snapshot();
+  auto added = [&](const char* name) {
+    return after.SeriesValue(name) - before.SeriesValue(name);
+  };
+  const double hits =
+      added("optimizer.memo.full_hits") + added("optimizer.memo.norm_hits");
+  const double lookups = hits + added("optimizer.memo.misses");
+  state.counters["memo_hit_rate"] = lookups > 0 ? hits / lookups : 0.0;
 }
 BENCHMARK(BM_OptimizeCrossConfigMemoHit);
 

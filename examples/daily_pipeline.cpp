@@ -7,14 +7,15 @@
 //
 //   ./build/examples/daily_pipeline [days]
 //
-// Every environment knob is snapshotted exactly once into AdvisorOptions at
-// startup and threaded explicitly — the service constructs each subsystem
-// from the captured values, never from a later env read.
+// The service's knobs (threads, guardrails, faults) are snapshotted exactly
+// once into AdvisorOptions at startup and threaded explicitly — the service
+// constructs each subsystem from the captured values, never from a later
+// env read.
 //
-// Observability: every per-subsystem counter (cache, memo, exec profiles,
-// bandit, flighting, SIS, service) plus the phase timers surface through
-// the metrics registry, so the closing summary is one registry-wide report
-// dump. Each day also appends a JSONL run-report line to QO_OBS_REPORT
+// Observability: every subsystem counts into the metrics registry (cache,
+// memo, exec profiles, bandit, flighting, SIS, guardrails, service) beside
+// the phase timers, so the guardrail block and the closing summary both
+// print from registry snapshots. Each day also appends a JSONL run-report line to QO_OBS_REPORT
 // (default: daily_pipeline_report.jsonl), and QO_TRACE=<path> additionally
 // writes a Chrome-trace span dump loadable in Perfetto.
 //
@@ -26,6 +27,7 @@
 // auto-reverted within the hysteresis window, and stay quarantined.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
@@ -69,8 +71,7 @@ int main(int argc, char** argv) {
     report_writer =
         std::make_unique<obs::RunReportWriter>("daily_pipeline_report.jsonl");
   }
-  const std::string report_label =
-      !options.obs.label.empty() ? options.obs.label : "daily_pipeline";
+  const std::string report_label = obs::ObsLabelFromEnv("daily_pipeline");
 
   std::printf("%4s %6s %6s %9s %8s %8s %10s %6s %7s %5s\n", "day", "jobs",
               "spans", "forwarded", "flights", "validated", "hints(new)",
@@ -141,11 +142,34 @@ int main(int argc, char** argv) {
 
   // Guardrail activity: watchdog reverts, quarantines still in cool-down,
   // breaker trips and the chaos faults the pipeline absorbed. The guard
-  // config came from the AdvisorOptions snapshot (QO_GUARD + QO_FAULT_*).
+  // config came from the AdvisorOptions snapshot (QO_GUARD + QO_FAULT_*);
+  // the counts come from the registry, which records them with metrics on
+  // or off.
   advisor::QoAdvisorPipeline* pipeline = session->pipeline();
   if (pipeline != nullptr && pipeline->steering_guard().enabled()) {
-    std::printf("\n%s",
-                pipeline->steering_guard().telemetry().ToString().c_str());
+    const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+    auto count = [&snap](const char* name) {
+      std::string series = "guard.";
+      series += name;
+      return static_cast<unsigned long long>(snap.SeriesValue(series));
+    };
+    std::printf(
+        "\nguardrails:\n"
+        "  watchdog: reverts=%llu quarantines=%llu blocked=%llu\n"
+        "  breakers: global_trips=%llu template_trips=%llu "
+        "disabled_days=%llu template_blocked=%llu\n"
+        "  degradation: retries=%llu recoveries=%llu "
+        "hint_files_rejected=%llu\n"
+        "  faults: compile=%llu flight=%llu hint_file=%llu reward=%llu "
+        "telemetry=%llu\n",
+        count("watchdog_reverts"), count("watchdog_quarantines"),
+        count("quarantine_blocked"), count("breaker_trips_global"),
+        count("breaker_trips_template"), count("steering_disabled_days"),
+        count("template_blocked"), count("flight_retries"),
+        count("flight_recoveries"), count("hint_files_rejected"),
+        count("faults_compile"), count("faults_flight"),
+        count("faults_hint_file"), count("faults_reward_drop"),
+        count("faults_telemetry_drop"));
     std::printf("  quarantines active on day %d: %zu\n", days,
                 pipeline->steering_guard().watchdog().ActiveQuarantines(days));
     std::printf("  steered-run fallbacks (injected compile faults): %llu\n",

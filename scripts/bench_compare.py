@@ -18,7 +18,8 @@ Both files use the schema written by scripts/bench_baseline.sh:
 
 When both sides have a <stem>.metrics.jsonl sibling (written by
 bench_baseline.sh from each bench's QO_OBS_REPORT snapshot), a drift report
-for cache/memo/reuse hit rates and span latency quantiles is printed after
+for the front-end cache and memo hit rates (derived from the registry's
+hit/miss counts) and span latency quantiles is printed after
 the wall-time table. Metrics drift is informational only — it never fails
 the gate (latency quantiles move with machine load; hit rates exist to
 explain wall-time movements, not to gate on their own).
@@ -110,8 +111,29 @@ def load_metrics(path):
     return per_label
 
 
-# Series with these suffixes are ratios worth eyeballing across runs.
-RATE_SUFFIXES = ("hit_rate", "reuse_rate", "occupancy", "utilization")
+# Rates worth eyeballing across runs, derived from registry counts (the
+# registry exports counts only; a ratio would not sum across instances):
+# name -> (hit series, miss series).
+DERIVED_RATES = {
+    "cache.front_end.hit_rate": (("cache.front_end.hits",),
+                                 ("cache.front_end.misses",)),
+    "optimizer.memo.hit_rate": (("optimizer.memo.full_hits",
+                                 "optimizer.memo.norm_hits"),
+                                ("optimizer.memo.misses",)),
+}
+
+
+def derived_rates(series):
+    """{rate name: value} for every DERIVED_RATES entry with any lookups."""
+    out = {}
+    for name, (hit_names, miss_names) in DERIVED_RATES.items():
+        if not any(n in series for n in hit_names + miss_names):
+            continue
+        hits = sum(float(series.get(n, 0)) for n in hit_names)
+        misses = sum(float(series.get(n, 0)) for n in miss_names)
+        if hits + misses > 0:
+            out[name] = hits / (hits + misses)
+    return out
 
 
 def print_metrics_drift(base_path, fresh_path):
@@ -129,12 +151,10 @@ def print_metrics_drift(base_path, fresh_path):
           f"  delta")
     for label in shared:
         b, f = base[label], fresh[label]
-        b_series = b.get("series", {}) or {}
-        f_series = f.get("series", {}) or {}
-        for name in sorted(set(b_series) & set(f_series)):
-            if not name.endswith(RATE_SUFFIXES):
-                continue
-            bv, fv = float(b_series[name]), float(f_series[name])
+        b_rates = derived_rates(b.get("series", {}) or {})
+        f_rates = derived_rates(f.get("series", {}) or {})
+        for name in sorted(set(b_rates) & set(f_rates)):
+            bv, fv = b_rates[name], f_rates[name]
             if bv == 0.0 and fv == 0.0:
                 continue
             print(f"{label:36} {name:34} {bv:12.4f} {fv:12.4f}"

@@ -2,9 +2,38 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace qo::bandit {
+
+namespace {
+
+struct BanditCounters {
+  obs::Counter& ranks;               ///< Rank calls that logged an event
+  obs::Counter& combines;            ///< combined vectors computed in Rank
+  obs::Counter& precombined_reused;  ///< combined vectors shared by callers
+  obs::Counter& reward_joins;        ///< successful Reward() joins
+  obs::Counter& reward_failures;     ///< rejected Reward() calls
+  obs::Counter& retrains;            ///< Retrain / TakePendingBatch calls
+  obs::Counter& examples_trained;    ///< examples consumed by retrains
+  obs::Counter& events_compacted;    ///< events dropped by retention
+};
+
+const BanditCounters& Counters() {
+  static const BanditCounters counters{
+      obs::Registry::Get().counter("bandit.ranks"),
+      obs::Registry::Get().counter("bandit.combines"),
+      obs::Registry::Get().counter("bandit.precombined_reused"),
+      obs::Registry::Get().counter("bandit.reward_joins"),
+      obs::Registry::Get().counter("bandit.reward_failures"),
+      obs::Registry::Get().counter("bandit.retrains"),
+      obs::Registry::Get().counter("bandit.examples_trained"),
+      obs::Registry::Get().counter("bandit.events_compacted")};
+  return counters;
+}
+
+}  // namespace
 
 std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
     const FeatureVector& context, const std::vector<RankableAction>& actions) {
@@ -17,7 +46,9 @@ std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
 }
 
 PersonalizerService::PersonalizerService(PersonalizerConfig config)
-    : config_(config), model_(config.model), rng_(config.seed) {}
+    : config_(config), model_(config.model), rng_(config.seed) {
+  Counters();  // register the series: they read 0 until the first event
+}
 
 Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
                                                const CbModel* serving_model) {
@@ -48,14 +79,14 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     // Shared combined-feature cache hit: adopt the caller's vectors. The
     // probes and acting arm of one job all log the same shared_ptrs.
     ev.action_features = request.precombined;
-    telemetry_.precombined_reused += request.precombined.size();
+    Counters().precombined_reused.Add(request.precombined.size());
   } else {
     ev.action_features.reserve(request.actions.size());
     for (const auto& action : request.actions) {
       ev.action_features.push_back(
           CombineFeaturesShared(request.context, action.features));
     }
-    telemetry_.combines += request.actions.size();
+    Counters().combines.Add(request.actions.size());
   }
   const size_t n = request.actions.size();
   size_t chosen;
@@ -81,7 +112,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
   ev.probability = probability;
   event_index_[event] = log_base_ + log_.size();
   log_.push_back(std::move(ev));
-  ++telemetry_.ranks;
+  Counters().ranks.Add();
   CompactLog();
 
   RankResponse resp;
@@ -126,7 +157,7 @@ Status PersonalizerService::Reward(const std::string& event_id,
   // Find (not Intern): an id that was never ranked must not grow the table.
   const EventId event{event_syms_.Find(event_id)};
   if (!event.valid()) {
-    ++telemetry_.reward_failures;
+    Counters().reward_failures.Add();
     return Status::NotFound("unknown event id: " + event_id);
   }
   return Reward(event, reward);
@@ -136,21 +167,21 @@ Status PersonalizerService::Reward(EventId event, double reward) {
   QO_OBS_SPAN("reward");
   auto it = event_index_.find(event);
   if (it == event_index_.end()) {
-    ++telemetry_.reward_failures;
+    Counters().reward_failures.Add();
     return Status::NotFound(
         "unknown event id: " +
         (event.valid() ? event_syms_.Resolve(event.value) : "<invalid>"));
   }
   LoggedEvent& ev = log_[it->second - log_base_];
   if (ev.has_reward) {
-    ++telemetry_.reward_failures;
+    Counters().reward_failures.Add();
     return Status::FailedPrecondition("event already rewarded: " +
                                       event_syms_.Resolve(event.value));
   }
   ev.has_reward = true;
   ev.reward = reward;
   ++rewarded_;
-  ++telemetry_.reward_joins;
+  Counters().reward_joins.Add();
   // Queue for the next incremental retrain; the features stay shared with
   // the event log (and the Recommender's cache) — no copy.
   pending_.push_back({ev.action_features[ev.chosen], reward, ev.probability});
@@ -164,12 +195,12 @@ void PersonalizerService::Retrain() {
   QO_OBS_SPAN("retrain");
   if (!pending_.empty()) {
     model_.Train(pending_);
-    telemetry_.examples_trained += pending_.size();
+    Counters().examples_trained.Add(pending_.size());
     // clear() keeps the batch buffer's capacity (bounded by the retrain
     // interval) so the next interval fills it without reallocating.
     pending_.clear();
   }
-  ++telemetry_.retrains;
+  Counters().retrains.Add();
   rewarded_at_last_train_ = rewarded_;
   CompactLog();
 }
@@ -177,8 +208,8 @@ void PersonalizerService::Retrain() {
 std::vector<LoggedExample> PersonalizerService::TakePendingBatch() {
   std::vector<LoggedExample> batch = std::move(pending_);
   pending_.clear();
-  ++telemetry_.retrains;
-  telemetry_.examples_trained += batch.size();
+  Counters().retrains.Add();
+  Counters().examples_trained.Add(batch.size());
   rewarded_at_last_train_ = rewarded_;
   CompactLog();
   return batch;
@@ -194,7 +225,7 @@ void PersonalizerService::CompactLog() {
     event_index_.erase(log_.front().id);
     log_.pop_front();
     ++log_base_;
-    ++telemetry_.events_compacted;
+    Counters().events_compacted.Add();
   }
 }
 

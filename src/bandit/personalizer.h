@@ -13,6 +13,10 @@
 // The log itself is bounded by a retention policy (see
 // PersonalizerConfig::retention_window): one service instance can run for
 // an unbounded number of pipeline days in constant memory.
+//
+// Rank traffic, combines, reward joins, retrains and compactions are counted
+// into the process-wide obs registry (bandit.*), summed over every service
+// instance; the service keeps no counters of its own.
 #ifndef QO_BANDIT_PERSONALIZER_H_
 #define QO_BANDIT_PERSONALIZER_H_
 
@@ -28,7 +32,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/symbol_table.h"
-#include "telemetry/bandit_telemetry.h"
 
 namespace qo::bandit {
 
@@ -172,14 +175,7 @@ class PersonalizerService {
   size_t resident_events() const { return log_.size(); }
   size_t rewarded_events() const { return rewarded_; }
   const CbModel& model() const { return model_; }
-  /// By value: the snapshot is the stored counters plus point-in-time
-  /// retention occupancy (resident_events / retention_window).
-  telemetry::BanditTelemetry telemetry() const {
-    telemetry::BanditTelemetry t = telemetry_;
-    t.resident_events = log_.size();
-    t.retention_window = config_.retention_window;
-    return t;
-  }
+  const PersonalizerConfig& config() const { return config_; }
 
  private:
   struct LoggedEvent {
@@ -220,7 +216,6 @@ class PersonalizerService {
   std::vector<LoggedExample> pending_;
   size_t rewarded_ = 0;
   size_t rewarded_at_last_train_ = 0;
-  telemetry::BanditTelemetry telemetry_;
 };
 
 }  // namespace qo::bandit

@@ -6,6 +6,10 @@
 // Values are handed out by copy — callers store shared_ptr<const T>, which
 // makes a hit O(1) and lets an entry outlive its own eviction.
 //
+// Hits, misses and evictions are counted into the process-wide obs registry
+// under `<series_prefix>.hits` / `.misses` / `.evictions`, so the counts
+// outlive the cache and sum across every instance sharing a prefix.
+//
 // Determinism note: hit/miss/eviction *timing* depends on thread
 // interleaving, but a cached value is always byte-identical to what the
 // compute function would produce (entries are immutable once inserted), so
@@ -14,16 +18,17 @@
 #define QO_CACHE_SHARDED_LRU_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "telemetry/cache_telemetry.h"
+#include "obs/metrics.h"
 
 namespace qo::cache {
 
@@ -32,9 +37,14 @@ class ShardedLruCache {
  public:
   /// `capacity` is the total entry bound across shards (each shard gets an
   /// equal slice, rounded up). `num_shards` <= 0 falls back to 1.
-  ShardedLruCache(size_t capacity, int num_shards)
+  /// `series_prefix` names the registry counters this cache counts into.
+  ShardedLruCache(size_t capacity, int num_shards,
+                  std::string_view series_prefix)
       : capacity_(capacity),
-        shards_(static_cast<size_t>(num_shards > 0 ? num_shards : 1)) {
+        shards_(static_cast<size_t>(num_shards > 0 ? num_shards : 1)),
+        hits_(&Series(series_prefix, ".hits")),
+        misses_(&Series(series_prefix, ".misses")),
+        evictions_(&Series(series_prefix, ".evictions")) {
     per_shard_capacity_ = (capacity_ + shards_.size() - 1) / shards_.size();
     if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
   }
@@ -45,10 +55,10 @@ class ShardedLruCache {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      ++shard.misses;
+      misses_->Add();
       return std::nullopt;
     }
-    ++shard.hits;
+    hits_->Add();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return it->second->second;
   }
@@ -70,7 +80,7 @@ class ShardedLruCache {
     while (shard.index.size() > per_shard_capacity_) {
       shard.index.erase(shard.lru.back().first);
       shard.lru.pop_back();
-      ++shard.evictions;
+      evictions_->Add();
     }
     return shard.lru.front().second;
   }
@@ -95,20 +105,6 @@ class ShardedLruCache {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
-  /// Merged counter snapshot across shards.
-  telemetry::CacheCounters Counters() const {
-    telemetry::CacheCounters out;
-    out.capacity = capacity_;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      out.hits += shard.hits;
-      out.misses += shard.misses;
-      out.evictions += shard.evictions;
-      out.entries += shard.index.size();
-    }
-    return out;
-  }
-
  private:
   struct Shard {
     mutable std::mutex mu;
@@ -116,10 +112,13 @@ class ShardedLruCache {
     std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
                        Hasher>
         index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
   };
+
+  static obs::Counter& Series(std::string_view prefix, std::string_view name) {
+    std::string full(prefix);
+    full += name;
+    return obs::Registry::Get().counter(full);
+  }
 
   Shard& ShardOf(const Key& key) {
     return shards_[Hasher{}(key) % shards_.size()];
@@ -128,6 +127,9 @@ class ShardedLruCache {
   size_t capacity_;
   size_t per_shard_capacity_;
   std::vector<Shard> shards_;
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
 };
 
 }  // namespace qo::cache

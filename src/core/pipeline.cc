@@ -3,9 +3,31 @@
 #include <cstdio>
 #include <set>
 
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace qo::advisor {
+
+namespace {
+
+// Cumulative across every RunDay of every pipeline in the process.
+struct PipelineCounters {
+  obs::Counter& days;
+  obs::Counter& flight_requests;
+  obs::Counter& validated;
+  obs::Counter& hints_uploaded;
+};
+
+const PipelineCounters& Counters() {
+  static const PipelineCounters counters{
+      obs::Registry::Get().counter("pipeline.days"),
+      obs::Registry::Get().counter("pipeline.flight_requests"),
+      obs::Registry::Get().counter("pipeline.validated"),
+      obs::Registry::Get().counter("pipeline.hints_uploaded")};
+  return counters;
+}
+
+}  // namespace
 
 std::string PipelineDayReport::ToString() const {
   char line[512];
@@ -52,27 +74,24 @@ QoAdvisorPipeline::QoAdvisorPipeline(const engine::ScopeEngine* engine,
       flighting_(engine, config.flighting, runtime_, &injector_),
       recommender_(engine, personalizer_, config.recommender, &injector_),
       validation_(config.validation) {
-  // One collector covers every surface the pipeline owns or borrows:
-  // Personalizer (bandit.*), flighting (flight.*), SIS hint lifecycle
-  // (sis.*) and the pipeline's own cumulative day counters (pipeline.*).
+  // Register the series: they read 0 until the first event.
+  Counters();
+  guard::Counters();
+  // Instance state only; every event count lives in a registry counter.
+  // Raw values: several live pipelines sum in the snapshot.
   collector_id_ =
       obs::Registry::Get().AddCollector([this](obs::SeriesSink& sink) {
-        telemetry::ExportSeries(personalizer_->telemetry(), sink);
-        telemetry::ExportSeries(flighting_.telemetry(), sink);
         sink.Add("sis.version", static_cast<double>(sis_->current_version()));
         sink.Add("sis.active_hints",
                  static_cast<double>(sis_->active_hints()));
-        sink.Add("sis.hints_uploaded",
-                 static_cast<double>(sis_->total_hints_uploaded()));
-        sink.Add("sis.hints_reverted",
-                 static_cast<double>(sis_->hints_reverted()));
-        sink.Add("pipeline.days", static_cast<double>(cum_.days));
-        sink.Add("pipeline.flight_requests",
-                 static_cast<double>(cum_.flight_requests));
-        sink.Add("pipeline.validated", static_cast<double>(cum_.validated));
-        sink.Add("pipeline.hints_uploaded",
-                 static_cast<double>(cum_.hints_uploaded));
-        telemetry::ExportSeries(guard_.telemetry(), sink);
+        sink.Add("flight.budget_used_hours", flighting_.budget_used_hours());
+        sink.Add("flight.budget_total_hours",
+                 flighting_.config().total_budget_machine_hours);
+        sink.Add("bandit.resident_events",
+                 static_cast<double>(personalizer_->resident_events()));
+        sink.Add("bandit.retention_window",
+                 static_cast<double>(
+                     personalizer_->config().retention_window));
       });
 }
 
@@ -111,7 +130,7 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       if (injector_.ShouldInject(guard::FaultSite::kTelemetry, view.day,
                                  row.job_id)) {
         ++report.telemetry_rows_dropped;
-        ++guard_.counters().faults_telemetry_drop;
+        guard::Counters().faults_telemetry_drop.Add();
         continue;
       }
       arrived_storage.rows.push_back(row);
@@ -135,7 +154,7 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
   if (guard_.enabled() && !guard_.SteeringAllowed(view.day)) {
     report.steering_disabled = true;
     guard_.CloseDay(view.day);
-    ++cum_.days;
+    Counters().days.Add();
     return report;
   }
 
@@ -155,8 +174,8 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       features, view.day, &report.recommender, runtime_);
 
   // Guard bookkeeping for the recommendation boundary's injected faults.
-  guard_.counters().faults_compile += report.recommender.faults_injected;
-  guard_.counters().faults_reward_drop += report.recommender.rewards_dropped;
+  guard::Counters().faults_compile.Add(report.recommender.faults_injected);
+  guard::Counters().faults_reward_drop.Add(report.recommender.rewards_dropped);
 
   // --- Flight selection: one representative per template, budget-capped.
   std::vector<Recommendation> candidates = PickRepresentatives(std::move(recs));
@@ -169,12 +188,12 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       if (guard_.watchdog().Quarantined(rec.template_name, rec.rule_id,
                                         view.day)) {
         ++report.quarantine_blocked;
-        ++guard_.counters().quarantine_blocked;
+        guard::Counters().quarantine_blocked.Add();
         continue;
       }
       if (!guard_.TemplateAllowed(rec.template_name, view.day)) {
         ++report.breaker_blocked;
-        ++guard_.counters().template_blocked;
+        guard::Counters().template_blocked.Add();
         continue;
       }
       allowed.push_back(std::move(rec));
@@ -227,14 +246,14 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
                             fl.outcome == flight::FlightOutcome::kFailure;
            ++attempt) {
         ++report.flight_retries;
-        ++guard_.counters().flight_retries;
+        guard::Counters().flight_retries.Add();
         auto retry = flighting_.FlightOne(
             req, static_cast<uint64_t>(view.day) * 15485863 + ++retry_no);
         if (!retry.ok()) break;  // budget exhausted: give up on retries
         if (retry->outcome == flight::FlightOutcome::kFailure) continue;
         if (retry->outcome == flight::FlightOutcome::kSuccess) {
           ++report.flights_recovered;
-          ++guard_.counters().flight_recoveries;
+          guard::Counters().flight_recoveries.Add();
         }
         // The injected-fault flag stays sticky across the replacement so
         // the day report still counts the fault the retry recovered from.
@@ -252,7 +271,7 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
     for (const flight::FlightResult& flight : flights) {
       if (flight.fault_injected) {
         ++report.faults_injected;
-        ++guard_.counters().faults_flight;
+        guard::Counters().faults_flight.Add();
       }
       // Steering-health events for the breakers: completed flights vote
       // success/failure (timeouts count as failures — a timeout storm must
@@ -321,12 +340,12 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
                                  uint64_t{0})) {
         text = injector_.CorruptHintText(text, view.day);
         ++report.faults_injected;
-        ++guard_.counters().faults_hint_file;
+        guard::Counters().faults_hint_file.Add();
       }
       auto parsed = sis::HintFile::Parse(text);
       if (!parsed.ok()) {
         report.hint_file_rejected = true;
-        ++guard_.counters().hint_files_rejected;
+        guard::Counters().hint_files_rejected.Add();
       } else {
         auto version = sis_->UploadHintFile(*parsed);
         if (version.ok()) report.hints_uploaded = parsed->entries.size();
@@ -340,10 +359,11 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
   // End of day: breakers evaluate the day's steering-health events.
   if (guard_.enabled()) guard_.CloseDay(view.day);
 
-  ++cum_.days;
-  cum_.flight_requests += report.flight_requests;
-  cum_.validated += report.validated;
-  cum_.hints_uploaded += report.hints_uploaded;
+  const PipelineCounters& c = Counters();
+  c.days.Add();
+  c.flight_requests.Add(report.flight_requests);
+  c.validated.Add(report.validated);
+  c.hints_uploaded.Add(report.hints_uploaded);
   return report;
 }
 

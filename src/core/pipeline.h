@@ -97,7 +97,7 @@ class QoAdvisorPipeline {
                     sis::StatsInsightService* sis, PipelineConfig config = {},
                     runtime::ParallelRuntime* runtime = nullptr,
                     bandit::PersonalizerService* personalizer = nullptr);
-  /// Deregisters the pipeline's registry collector.
+  /// Deregisters the pipeline's state collector.
   ~QoAdvisorPipeline();
   QoAdvisorPipeline(const QoAdvisorPipeline&) = delete;
   QoAdvisorPipeline& operator=(const QoAdvisorPipeline&) = delete;
@@ -109,8 +109,8 @@ class QoAdvisorPipeline {
   runtime::ParallelRuntime& runtime() { return *runtime_; }
   flight::FlightingService& flighting() { return flighting_; }
   ValidationModel& validation_model() { return validation_; }
-  /// Guardrail state (watchdog, breakers, counters) — read-mostly for
-  /// tests/demos; the pipeline drives it on the serial path.
+  /// Guardrail state (watchdog, breakers) — read-mostly for tests/demos;
+  /// the pipeline drives it on the serial path.
   guard::SteeringGuard& steering_guard() { return guard_; }
   const guard::FaultInjector& fault_injector() const { return injector_; }
   const std::vector<ValidationSample>& validation_samples() const {
@@ -140,15 +140,8 @@ class QoAdvisorPipeline {
   Recommender recommender_;
   ValidationModel validation_;
   std::vector<ValidationSample> validation_samples_;
-  /// Cumulative across RunDay calls, exported as "pipeline.*" series by the
-  /// registry collector below (the bandit/flighting/SIS surfaces ride along
-  /// in the same callback).
-  struct Cumulative {
-    uint64_t days = 0;
-    uint64_t flight_requests = 0;
-    uint64_t validated = 0;
-    uint64_t hints_uploaded = 0;
-  } cum_;
+  /// Registry collector exporting the instance state no counter can carry:
+  /// SIS version and active hints, flight budget, bandit log residency.
   int collector_id_ = -1;
 };
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cache/fingerprint.h"
-#include "common/symbol_table.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "scope/compiler.h"
@@ -27,6 +26,26 @@ obs::Histogram& ExecuteSpanHist() {
   return *h;
 }
 
+// Cross-config memo tiers and prepared-profile slot reuse, counted for every
+// engine in the process.
+struct EngineCounters {
+  obs::Counter& memo_full_hits;
+  obs::Counter& memo_norm_hits;
+  obs::Counter& memo_misses;
+  obs::Counter& profile_hits;
+  obs::Counter& profile_misses;
+};
+
+const EngineCounters& Counters() {
+  static const EngineCounters counters{
+      obs::Registry::Get().counter("optimizer.memo.full_hits"),
+      obs::Registry::Get().counter("optimizer.memo.norm_hits"),
+      obs::Registry::Get().counter("optimizer.memo.misses"),
+      obs::Registry::Get().counter("exec.profile_hits"),
+      obs::Registry::Get().counter("exec.profile_misses")};
+  return counters;
+}
+
 }  // namespace
 
 ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
@@ -35,19 +54,7 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
       simulator_(cluster_config),
       options_fingerprint_(
           cache::OptimizerOptionsFingerprint(optimizer_options)) {
-  // Export the engine's three telemetry surfaces as registry series. The
-  // callback only reads counters and writes to the sink — it never calls
-  // back into the registry (whose lock is held during Snapshot()).
-  collector_id_ =
-      obs::Registry::Get().AddCollector([this](obs::SeriesSink& sink) {
-        telemetry::ExportSeries(compile_cache_telemetry(), sink);
-        telemetry::ExportSeries(optimizer_telemetry(), sink);
-        telemetry::ExportSeries(exec_profile_telemetry(), sink);
-      });
-}
-
-ScopeEngine::~ScopeEngine() {
-  obs::Registry::Get().RemoveCollector(collector_id_);
+  Counters();  // register the series: they read 0 until the first event
 }
 
 cache::FrontEndKey ScopeEngine::FrontEndKeyOf(
@@ -90,7 +97,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   Status stored_status = Status::OK();
   std::shared_ptr<const opt::CompilationOutput> stored_output;
   if (memo.FindFull(config.bits(), &stored_status, &stored_output)) {
-    memo_full_hits_.fetch_add(1, std::memory_order_relaxed);
+    Counters().memo_full_hits.Add();
     if (!stored_status.ok()) return stored_status;
     return stored_output;
   }
@@ -102,7 +109,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   BitVector256 norm_consulted;
   if (std::shared_ptr<const opt::NormalizedPlan> normalized =
           memo.FindNorm(config.bits(), &norm_consulted)) {
-    memo_norm_hits_.fetch_add(1, std::memory_order_relaxed);
+    Counters().memo_norm_hits.Add();
     BitVector256 post_consulted;
     Result<opt::CompilationOutput> result = [&] {
       QO_OBS_SPAN("optimize");
@@ -121,7 +128,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   }
 
   // Miss: full pipeline, recording both footprints for future configs.
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  Counters().memo_misses.Add();
   BitVector256 post_consulted;
   std::shared_ptr<const opt::NormalizedPlan> normalized;
   Result<opt::CompilationOutput> result = [&] {
@@ -258,10 +265,10 @@ std::shared_ptr<const exec::ExecutionProfile> ScopeEngine::PrepareProfile(
   std::shared_ptr<const exec::ExecutionProfile> existing =
       compilation.exec_profile.Load();
   if (existing != nullptr && matches(*existing)) {
-    profile_hits_.fetch_add(1, std::memory_order_relaxed);
+    Counters().profile_hits.Add();
     return existing;
   }
-  profile_misses_.fetch_add(1, std::memory_order_relaxed);
+  Counters().profile_misses.Add();
   QO_OBS_SPAN("exec.prepare");
   std::shared_ptr<const exec::ExecutionProfile> fresh =
       simulator_.PrepareShared(compilation.plan, job.catalog);
@@ -288,31 +295,6 @@ ScopeEngine::TemplateHists ScopeEngine::TemplateHistsFor(
     it->second.exec_ns = &obs::Registry::Get().histogram(base + ".exec_ns");
   }
   return it->second;
-}
-
-telemetry::CompileCacheTelemetry ScopeEngine::compile_cache_telemetry() const {
-  telemetry::CompileCacheTelemetry t;
-  t.front_end = front_end_.Counters();
-  return t;
-}
-
-telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
-  telemetry::OptimizerTelemetry t;
-  t.memo_full_hits = memo_full_hits_.load(std::memory_order_relaxed);
-  t.memo_norm_hits = memo_norm_hits_.load(std::memory_order_relaxed);
-  t.memo_misses = memo_misses_.load(std::memory_order_relaxed);
-  t.interned_symbols = SymbolTable::Global().size();
-  return t;
-}
-
-telemetry::ExecProfileTelemetry ScopeEngine::exec_profile_telemetry() const {
-  telemetry::ExecProfileTelemetry t;
-  t.prepares = simulator_.profile_prepares();
-  t.prepared_runs = simulator_.prepared_runs();
-  t.unprepared_runs = simulator_.unprepared_runs();
-  t.profile_hits = profile_hits_.load(std::memory_order_relaxed);
-  t.profile_misses = profile_misses_.load(std::memory_order_relaxed);
-  return t;
 }
 
 }  // namespace qo::engine

@@ -15,10 +15,14 @@
 //
 // Execution has one path too: every run goes through the compilation's
 // prepared ExecutionProfile (built once, then reused by every later run).
+//
+// Cache, memo and profile-slot activity is counted into the process-wide
+// obs registry (cache.front_end.*, optimizer.memo.*, exec.profile_*): the
+// engine keeps no counters of its own, so the counts outlive it and sum
+// across engines.
 #ifndef QO_ENGINE_ENGINE_H_
 #define QO_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
@@ -32,9 +36,6 @@
 #include "optimizer/cross_config_memo.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
-#include "telemetry/cache_telemetry.h"
-#include "telemetry/exec_telemetry.h"
-#include "telemetry/optimizer_telemetry.h"
 #include "workload/template_gen.h"
 
 namespace qo::engine {
@@ -58,8 +59,6 @@ class ScopeEngine {
  public:
   explicit ScopeEngine(opt::OptimizerOptions optimizer_options = {},
                        exec::ClusterConfig cluster_config = {});
-  /// Deregisters the engine's registry collector.
-  ~ScopeEngine();
   ScopeEngine(const ScopeEngine&) = delete;
   ScopeEngine& operator=(const ScopeEngine&) = delete;
 
@@ -127,16 +126,6 @@ class ScopeEngine {
     return simulator_.config();
   }
 
-  /// Front-end cache hit/miss/eviction counters.
-  telemetry::CompileCacheTelemetry compile_cache_telemetry() const;
-
-  /// Prepare/reuse counters for the execution profiles.
-  telemetry::ExecProfileTelemetry exec_profile_telemetry() const;
-
-  /// Cross-config memo hit/miss counters plus the process-wide interned
-  /// symbol count.
-  telemetry::OptimizerTelemetry optimizer_telemetry() const;
-
  private:
   /// The seed the simulator derives all of a run's stochastic draws from.
   static uint64_t RunSeed(const workload::JobInstance& job, uint64_t run_salt);
@@ -177,21 +166,11 @@ class ScopeEngine {
   /// Folded into every cache key so options changes can never alias.
   uint64_t options_fingerprint_ = 0;
   /// Mutable state behind const Compile; internally synchronized.
-  mutable cache::FrontEndCache front_end_{cache::kFrontEndCapacity,
-                                          cache::kFrontEndShards};
-  /// Profile-slot reuse counters (relaxed; monotone under concurrency).
-  mutable std::atomic<uint64_t> profile_hits_{0};
-  mutable std::atomic<uint64_t> profile_misses_{0};
-  /// Cross-config memo counters (relaxed; monotone under concurrency).
-  mutable std::atomic<uint64_t> memo_full_hits_{0};
-  mutable std::atomic<uint64_t> memo_norm_hits_{0};
-  mutable std::atomic<uint64_t> memo_misses_{0};
+  mutable cache::FrontEndCache front_end_{
+      cache::kFrontEndCapacity, cache::kFrontEndShards, "cache.front_end"};
   /// template_id -> latency histograms (read-mostly: shared lock on hit).
   mutable std::shared_mutex tpl_mu_;
   mutable std::unordered_map<int, TemplateHists> tpl_hists_;
-  /// Registry collector exporting the cache/optimizer/exec telemetry
-  /// surfaces as series (removed in the destructor).
-  int collector_id_ = -1;
 };
 
 }  // namespace qo::engine

@@ -8,10 +8,27 @@
 
 #include "common/hash.h"
 #include "common/kernels/kernels.h"
+#include "obs/metrics.h"
 
 namespace qo::exec {
 
 namespace {
+
+// Profile preparations, runs served from a profile, and legacy runs that
+// re-derive the profile in-line — counted for every simulator in the process.
+struct ExecCounters {
+  obs::Counter& prepares;
+  obs::Counter& prepared_runs;
+  obs::Counter& unprepared_runs;
+};
+
+const ExecCounters& Counters() {
+  static const ExecCounters counters{
+      obs::Registry::Get().counter("exec.prepares"),
+      obs::Registry::Get().counter("exec.prepared_runs"),
+      obs::Registry::Get().counter("exec.unprepared_runs")};
+  return counters;
+}
 
 using opt::PhysOpKind;
 using opt::PhysicalNode;
@@ -274,9 +291,14 @@ uint64_t ClusterConfigFingerprint(const ClusterConfig& c) {
   return MixHash(h);
 }
 
+ClusterSimulator::ClusterSimulator(ClusterConfig config)
+    : config_(config), config_fingerprint_(ClusterConfigFingerprint(config)) {
+  Counters();  // register the series: they read 0 until the first event
+}
+
 ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
                                            const scope::Catalog& catalog) const {
-  prepares_.fetch_add(1, std::memory_order_relaxed);
+  Counters().prepares.Add();
   ExecutionProfile p;
   p.config_fingerprint = config_fingerprint_;
   p.catalog_fingerprint = catalog.StatsFingerprint();
@@ -380,13 +402,13 @@ std::shared_ptr<const ExecutionProfile> ClusterSimulator::PrepareShared(
 JobMetrics ClusterSimulator::Execute(const PhysicalPlan& plan,
                                      const scope::Catalog& catalog,
                                      uint64_t run_seed) const {
-  unprepared_runs_.fetch_add(1, std::memory_order_relaxed);
+  Counters().unprepared_runs.Add();
   return ExecuteProfile(Prepare(plan, catalog), run_seed);
 }
 
 JobMetrics ClusterSimulator::Execute(const ExecutionProfile& profile,
                                      uint64_t run_seed) const {
-  prepared_runs_.fetch_add(1, std::memory_order_relaxed);
+  Counters().prepared_runs.Add();
   return ExecuteProfile(profile, run_seed);
 }
 
@@ -394,11 +416,11 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
     const ExecutionProfile& profile, uint64_t base_seed, int runs) const {
   std::vector<JobMetrics> out;
   if (runs <= 0) return out;
+  Counters().prepared_runs.Add(static_cast<uint64_t>(runs));
   out.reserve(static_cast<size_t>(runs));
   if (profile.has_cycle) {
     // The cyclic fallback keeps the legacy memoized recursion per seed.
     for (int i = 0; i < runs; ++i) {
-      prepared_runs_.fetch_add(1, std::memory_order_relaxed);
       out.push_back(
           ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
     }
@@ -475,10 +497,8 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
       out[static_cast<size_t>(i) + j].latency_sec =
           overhead[j] + critical[j] * job_scale[j];
     }
-    prepared_runs_.fetch_add(kLanes, std::memory_order_relaxed);
   }
   for (; i < runs; ++i) {
-    prepared_runs_.fetch_add(1, std::memory_order_relaxed);
     out.push_back(
         ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
   }

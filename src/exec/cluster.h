@@ -23,7 +23,6 @@
 #ifndef QO_EXEC_CLUSTER_H_
 #define QO_EXEC_CLUSTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -166,15 +165,14 @@ uint64_t ClusterConfigFingerprint(const ClusterConfig& config);
 /// `run_seed` determines all stochastic draws, so A/A runs with different
 /// seeds reproduce cluster variance while identical seeds are exactly
 /// repeatable.
+///
+/// Preparations and runs are counted into the process-wide obs registry
+/// (exec.prepares, exec.prepared_runs, exec.unprepared_runs). The simulator
+/// holds no counters itself, so a copy is an ordinary value copy and every
+/// simulator in the process adds to the same series.
 class ClusterSimulator {
  public:
-  explicit ClusterSimulator(ClusterConfig config = {})
-      : config_(config),
-        config_fingerprint_(ClusterConfigFingerprint(config)) {}
-
-  /// Telemetry counters do not transfer: a copy starts counting from zero.
-  ClusterSimulator(const ClusterSimulator& o)
-      : config_(o.config_), config_fingerprint_(o.config_fingerprint_) {}
+  explicit ClusterSimulator(ClusterConfig config = {});
 
   const ClusterConfig& config() const { return config_; }
   uint64_t config_fingerprint() const { return config_fingerprint_; }
@@ -217,28 +215,12 @@ class ClusterSimulator {
   std::vector<JobMetrics> ExecuteRuns(const ExecutionProfile& profile,
                                       uint64_t base_seed, int runs) const;
 
-  /// Lifetime counters (relaxed atomics; exact under serial use, monotone
-  /// under concurrency): profile preparations, runs served from a profile,
-  /// and legacy runs that re-derived the profile in-line.
-  uint64_t profile_prepares() const {
-    return prepares_.load(std::memory_order_relaxed);
-  }
-  uint64_t prepared_runs() const {
-    return prepared_runs_.load(std::memory_order_relaxed);
-  }
-  uint64_t unprepared_runs() const {
-    return unprepared_runs_.load(std::memory_order_relaxed);
-  }
-
  private:
   JobMetrics ExecuteProfile(const ExecutionProfile& profile,
                             uint64_t run_seed) const;
 
   ClusterConfig config_;
   uint64_t config_fingerprint_ = 0;
-  mutable std::atomic<uint64_t> prepares_{0};
-  mutable std::atomic<uint64_t> prepared_runs_{0};
-  mutable std::atomic<uint64_t> unprepared_runs_{0};
 };
 
 }  // namespace qo::exec

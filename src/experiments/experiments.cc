@@ -100,8 +100,8 @@ ExperimentEnv::ExperimentEnv(ExperimentConfig config)
       injector_(config.faults) {}
 
 ExperimentEnv::~ExperimentEnv() {
-  // Emitted here rather than at process exit: the engine's collector is
-  // still registered, so the line carries every series.
+  // One whole-run line per harness. Registry counters outlive the engines,
+  // learners and pipelines that recorded them, so it carries every count.
   EmitRunReport(-1);
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace qo::flight {
@@ -16,6 +17,53 @@ struct Provisional {
   FlightResult result;
   bool ran = false;
 };
+
+struct FlightCounters {
+  obs::Counter& success;
+  obs::Counter& failure;
+  obs::Counter& timeout_per_job;  ///< real per-job flight timeouts
+  obs::Counter& budget_rejected;  ///< never admitted: the budget ran out
+  obs::Counter& filtered;
+  obs::Counter& fault_injected;   ///< outcomes forced by chaos faults
+  obs::Counter& batches;          ///< FlightBatch calls
+  obs::Counter& aa_runs;          ///< individual A/A executions
+};
+
+const FlightCounters& Counters() {
+  static const FlightCounters counters{
+      obs::Registry::Get().counter("flight.success"),
+      obs::Registry::Get().counter("flight.failure"),
+      obs::Registry::Get().counter("flight.timeout_per_job"),
+      obs::Registry::Get().counter("flight.budget_rejected"),
+      obs::Registry::Get().counter("flight.filtered"),
+      obs::Registry::Get().counter("flight.fault_injected"),
+      obs::Registry::Get().counter("flight.batches"),
+      obs::Registry::Get().counter("flight.aa_runs")};
+  return counters;
+}
+
+/// Commit-side outcome bookkeeping.
+void CountOutcome(FlightOutcome outcome, bool fault_injected = false) {
+  const FlightCounters& c = Counters();
+  if (fault_injected) c.fault_injected.Add();
+  switch (outcome) {
+    case FlightOutcome::kSuccess:
+      c.success.Add();
+      break;
+    case FlightOutcome::kFailure:
+      c.failure.Add();
+      break;
+    case FlightOutcome::kTimeout:
+      c.timeout_per_job.Add();
+      break;
+    case FlightOutcome::kFiltered:
+      c.filtered.Add();
+      break;
+    case FlightOutcome::kBudgetRejected:
+      c.budget_rejected.Add();
+      break;
+  }
+}
 
 FlightResult BudgetRejected(const std::string& job_id) {
   FlightResult r;
@@ -50,7 +98,9 @@ FlightingService::FlightingService(const engine::ScopeEngine* engine,
       config_(config),
       runtime_(runtime),
       injector_(injector),
-      gate_(config.total_budget_machine_hours) {}
+      gate_(config.total_budget_machine_hours) {
+  Counters();  // register the series: they read 0 until the first event
+}
 
 FlightResult FlightingService::RunFlight(const FlightRequest& request,
                                          uint64_t run_salt) const {
@@ -148,7 +198,7 @@ Result<FlightResult> FlightingService::FlightOne(const FlightRequest& request,
 
 std::vector<FlightResult> FlightingService::FlightBatch(
     std::vector<FlightRequest> requests, uint64_t run_salt) {
-  ++batches_;
+  Counters().batches.Add();
   // Fixed-size queue: excess requests are dropped up front.
   if (requests.size() > config_.queue_capacity) {
     requests.resize(config_.queue_capacity);
@@ -232,49 +282,8 @@ Result<std::vector<exec::JobMetrics>> FlightingService::RunAA(
   std::vector<exec::JobMetrics> metrics =
       engine_->ExecuteRuns(job, *compiled, run_salt * 1000, runs);
   for (const exec::JobMetrics& m : metrics) gate_.Spend(m.pn_hours);
-  aa_runs_ += metrics.size();
+  Counters().aa_runs.Add(metrics.size());
   return metrics;
-}
-
-void FlightingService::CountOutcome(FlightOutcome outcome,
-                                    bool fault_injected) {
-  if (fault_injected) ++flights_fault_injected_;
-  switch (outcome) {
-    case FlightOutcome::kSuccess:
-      ++flights_success_;
-      break;
-    case FlightOutcome::kFailure:
-      ++flights_failure_;
-      break;
-    case FlightOutcome::kTimeout:
-      ++flights_timeout_;
-      break;
-    case FlightOutcome::kFiltered:
-      ++flights_filtered_;
-      break;
-    case FlightOutcome::kBudgetRejected:
-      ++flights_budget_rejected_;
-      break;
-  }
-}
-
-telemetry::FlightTelemetry FlightingService::telemetry() const {
-  telemetry::FlightTelemetry t;
-  t.flights_success = flights_success_;
-  t.flights_failure = flights_failure_;
-  // Legacy total: per-job timeouts and budget rejections were one counter
-  // before the outcomes were split; the snapshot keeps the sum stable and
-  // exposes the split alongside.
-  t.flights_timeout = flights_timeout_ + flights_budget_rejected_;
-  t.flights_timeout_per_job = flights_timeout_;
-  t.flights_budget_rejected = flights_budget_rejected_;
-  t.flights_fault_injected = flights_fault_injected_;
-  t.flights_filtered = flights_filtered_;
-  t.batches = batches_;
-  t.aa_runs = aa_runs_;
-  t.budget_used_hours = gate_.committed();
-  t.budget_total_hours = config_.total_budget_machine_hours;
-  return t;
 }
 
 }  // namespace qo::flight

@@ -16,6 +16,26 @@ struct DayStats {
 
 }  // namespace
 
+const GuardCounters& Counters() {
+  static const GuardCounters counters{
+      obs::Registry::Get().counter("guard.watchdog_reverts"),
+      obs::Registry::Get().counter("guard.watchdog_quarantines"),
+      obs::Registry::Get().counter("guard.quarantine_blocked"),
+      obs::Registry::Get().counter("guard.breaker_trips_global"),
+      obs::Registry::Get().counter("guard.breaker_trips_template"),
+      obs::Registry::Get().counter("guard.steering_disabled_days"),
+      obs::Registry::Get().counter("guard.template_blocked"),
+      obs::Registry::Get().counter("guard.flight_retries"),
+      obs::Registry::Get().counter("guard.flight_recoveries"),
+      obs::Registry::Get().counter("guard.hint_files_rejected"),
+      obs::Registry::Get().counter("guard.faults_compile"),
+      obs::Registry::Get().counter("guard.faults_flight"),
+      obs::Registry::Get().counter("guard.faults_hint_file"),
+      obs::Registry::Get().counter("guard.faults_reward_drop"),
+      obs::Registry::Get().counter("guard.faults_telemetry_drop")};
+  return counters;
+}
+
 std::vector<WatchdogAction> HintWatchdog::ObserveDay(
     const telemetry::WorkloadView& view, sis::StatsInsightService* sis) {
   std::vector<WatchdogAction> actions;
@@ -66,9 +86,11 @@ std::vector<WatchdogAction> HintWatchdog::ObserveDay(
 
     // Sustained regression: revert the hint, quarantine the pair.
     if (sis->RevertHint(name).ok()) {
-      ++reverts_;
+      Counters().watchdog_reverts.Add();
       auto key = std::make_pair(name, state.hint_rule);
-      if (quarantine_.emplace(key, 0).second) ++quarantines_;
+      if (quarantine_.emplace(key, 0).second) {
+        Counters().watchdog_quarantines.Add();
+      }
       quarantine_[key] = view.day + config_.quarantine_days;
       actions.push_back({name, state.hint_rule, state.hint_enable, view.day,
                          regression});
@@ -148,18 +170,12 @@ void SteeringGuard::RecordSteeringEvent(const std::string& template_name,
 }
 
 void SteeringGuard::CloseDay(int day) {
-  if (!global_breaker_.AllowSteering(day)) ++counters_.steering_disabled_days;
-  if (global_breaker_.CloseDay(day)) ++counters_.breaker_trips_global;
+  const GuardCounters& c = Counters();
+  if (!global_breaker_.AllowSteering(day)) c.steering_disabled_days.Add();
+  if (global_breaker_.CloseDay(day)) c.breaker_trips_global.Add();
   for (auto& [name, breaker] : template_breakers_) {
-    if (breaker.CloseDay(day)) ++counters_.breaker_trips_template;
+    if (breaker.CloseDay(day)) c.breaker_trips_template.Add();
   }
-}
-
-telemetry::GuardTelemetry SteeringGuard::telemetry() const {
-  telemetry::GuardTelemetry t = counters_;
-  t.watchdog_reverts = watchdog_.reverts();
-  t.watchdog_quarantines = watchdog_.quarantines();
-  return t;
 }
 
 }  // namespace qo::guard

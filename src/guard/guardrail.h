@@ -13,8 +13,12 @@
 //     global): when steering failures cross a threshold the breaker opens
 //     and steering is disabled for a probation window, after which a
 //     half-open probe decides between re-arming and re-opening.
-//   * SteeringGuard — bundles the watchdog, the breakers and the guardrail
-//     counters the pipeline exports as "guard.*" series.
+//   * SteeringGuard — bundles the watchdog and the breakers.
+//
+// Guardrail activity is counted into the process-wide obs registry as
+// "guard.*" series (GuardCounters below): the watchdog and the breakers
+// count their own reverts and trips, the pipeline counts what it blocked,
+// retried and absorbed.
 //
 // Everything here runs on the pipeline's serial path (day boundaries), so
 // decisions are deterministic for any thread count by construction.
@@ -29,11 +33,36 @@
 #include <vector>
 
 #include "guard/fault_injector.h"
+#include "obs/metrics.h"
 #include "sis/sis.h"
-#include "telemetry/guard_telemetry.h"
 #include "telemetry/workload_view.h"
 
 namespace qo::guard {
+
+/// The guard.* registry counters, fetched once per process. All are
+/// incremented on the pipeline's serial path.
+struct GuardCounters {
+  // Watchdog.
+  obs::Counter& watchdog_reverts;      ///< hints auto-reverted on regression
+  obs::Counter& watchdog_quarantines;  ///< (template, rule) pairs quarantined
+  obs::Counter& quarantine_blocked;  ///< recommendations blocked by cool-down
+  // Circuit breakers.
+  obs::Counter& breaker_trips_global;
+  obs::Counter& breaker_trips_template;
+  obs::Counter& steering_disabled_days;  ///< days the global breaker was open
+  obs::Counter& template_blocked;  ///< candidates dropped by open breakers
+  // Graceful degradation.
+  obs::Counter& flight_retries;
+  obs::Counter& flight_recoveries;    ///< retries that turned into success
+  obs::Counter& hint_files_rejected;  ///< corrupt uploads caught by Parse/SIS
+  // Injected faults the pipeline acted on (commit-side counts).
+  obs::Counter& faults_compile;
+  obs::Counter& faults_flight;
+  obs::Counter& faults_hint_file;
+  obs::Counter& faults_reward_drop;
+  obs::Counter& faults_telemetry_drop;
+};
+const GuardCounters& Counters();
 
 struct WatchdogConfig {
   /// Mean-runtime inflation vs the pre-hint baseline that counts as a
@@ -79,8 +108,6 @@ class HintWatchdog {
   /// Quarantine entries still in cool-down on `day`.
   size_t ActiveQuarantines(int day) const;
 
-  uint64_t reverts() const { return reverts_; }
-  uint64_t quarantines() const { return quarantines_; }
   const WatchdogConfig& config() const { return config_; }
 
  private:
@@ -98,8 +125,6 @@ class HintWatchdog {
   std::map<std::string, TemplateState> templates_;
   /// (template, rule) -> first day the pair may be recommended again.
   std::map<std::pair<std::string, int>, int> quarantine_;
-  uint64_t reverts_ = 0;
-  uint64_t quarantines_ = 0;
 };
 
 struct BreakerConfig {
@@ -172,7 +197,7 @@ struct GuardConfig {
   static GuardConfig FromEnv();
 };
 
-/// The pipeline's guardrail bundle: watchdog + breakers + counters.
+/// The pipeline's guardrail bundle: watchdog + breakers.
 class SteeringGuard {
  public:
   explicit SteeringGuard(GuardConfig config = {})
@@ -197,20 +222,14 @@ class SteeringGuard {
   /// fallback, ...) against both breaker scopes.
   void RecordSteeringEvent(const std::string& template_name, bool failure);
 
-  /// Day-boundary breaker evaluation; updates trip counters.
+  /// Day-boundary breaker evaluation; counts trips and disabled days.
   void CloseDay(int day);
-
-  /// Mutable guardrail counters (pipeline commit path only).
-  telemetry::GuardTelemetry& counters() { return counters_; }
-  /// Snapshot including watchdog / breaker state.
-  telemetry::GuardTelemetry telemetry() const;
 
  private:
   GuardConfig config_;
   HintWatchdog watchdog_;
   CircuitBreaker global_breaker_;
   std::map<std::string, CircuitBreaker> template_breakers_;
-  telemetry::GuardTelemetry counters_;
 };
 
 }  // namespace qo::guard

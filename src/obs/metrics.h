@@ -10,8 +10,8 @@
 //    cache-line-padded per-thread slots, histogram records are a single
 //    relaxed fetch_add on a (shard, bucket) slot. No locks anywhere on the
 //    record path.
-//  - Everything is off-by-default-cheap: when QO_METRICS=0 the span macros
-//    and instrumented call sites check one cached bool and do nothing.
+//  - Timing is off-by-default-cheap: when QO_METRICS=0 the span macros and
+//    timed call sites check one cached bool and do nothing.
 //    Metrics never feed back into computation, so all outputs are
 //    byte-identical with metrics on or off (asserted by obs_test and the
 //    figure-bench identity checks in CI).
@@ -25,12 +25,15 @@
 //
 // The registry hands out stable pointers (metrics live in deques and are
 // never deallocated), so call sites cache the pointer once and record
-// lock-free afterwards. Subsystems whose counters live outside the registry
-// (the engine's sharded compile cache, the Personalizer, the flighting
-// service) attach *collectors* — callbacks that export their telemetry
-// snapshots as named series at Snapshot() time. This is how the four legacy
-// telemetry structs surface as registry series without moving their
-// hot-path counters.
+// lock-free afterwards. Every subsystem counts its events here, at the place
+// they happen (cache.front_end.*, optimizer.memo.*, exec.*, bandit.*,
+// flight.*, guard.*, sis.*, pipeline.*, service.*): counts are
+// process-wide, survive their owner's destruction and sum across
+// instances, and they are recorded whatever MetricsEnabled() says — the
+// switch gates timing only. Only ratios are left to readers, derived from
+// the counts. *Collectors* — callbacks run at Snapshot() time — are for
+// instance state that is not an event count (the pipeline exports its SIS
+// version, active hints, flight budget and bandit log residency this way).
 #ifndef QO_OBS_METRICS_H_
 #define QO_OBS_METRICS_H_
 
@@ -201,8 +204,9 @@ class Histogram {
 // ---------------------------------------------------------------------------
 
 /// Accumulating sink collectors write named series into. Duplicate names
-/// sum, so several instances of one subsystem (e.g. two engines) aggregate
-/// into one process-wide series.
+/// sum, so several instances of one subsystem (e.g. two pipelines)
+/// aggregate into one process-wide series — which is why collectors export
+/// raw values only, never ratios.
 class SeriesSink {
  public:
   explicit SeriesSink(std::map<std::string, double>* out) : out_(out) {}
@@ -237,7 +241,7 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Registers a telemetry exporter invoked at Snapshot() time. The
+  /// Registers a state exporter invoked at Snapshot() time. The
   /// callback must not call back into the registry (the lock is held) and
   /// must be removed before whatever it captures is destroyed.
   int AddCollector(std::function<void(SeriesSink&)> collector);

@@ -4,7 +4,25 @@
 #include <set>
 #include <sstream>
 
+#include "obs/metrics.h"
+
 namespace qo::sis {
+
+namespace {
+
+struct SisCounters {
+  obs::Counter& hints_uploaded;  ///< entries installed across all versions
+  obs::Counter& hints_reverted;  ///< hints rolled back via RevertHint
+};
+
+const SisCounters& Counters() {
+  static const SisCounters counters{
+      obs::Registry::Get().counter("sis.hints_uploaded"),
+      obs::Registry::Get().counter("sis.hints_reverted")};
+  return counters;
+}
+
+}  // namespace
 
 opt::RuleConfig HintEntry::ToConfig() const {
   opt::RuleConfig config = opt::RuleConfig::Default();
@@ -136,6 +154,10 @@ std::shared_ptr<const SnapshotView> StatsInsightService::BuildSnapshotView()
   return std::make_shared<const SnapshotView>(version_, active_);
 }
 
+StatsInsightService::StatsInsightService(SisConfig config) : config_(config) {
+  Counters();  // register the series: they read 0 until the first event
+}
+
 Result<int> StatsInsightService::UploadHintFile(const HintFile& file) {
   // Format validation before installation.
   std::set<std::string> seen;
@@ -173,7 +195,7 @@ Result<int> StatsInsightService::UploadHintFile(const HintFile& file) {
   for (const HintEntry& e : file.entries) {
     active_[e.template_name] = e;
   }
-  hints_uploaded_ += file.entries.size();
+  Counters().hints_uploaded.Add(file.entries.size());
   return version_;
 }
 
@@ -197,7 +219,7 @@ Status StatsInsightService::RevertHint(const std::string& template_name) {
     return Status::NotFound("no active hint for " + template_name);
   }
   active_.erase(it);
-  ++hints_reverted_;
+  Counters().hints_reverted.Add();
   return Status::OK();
 }
 

@@ -48,8 +48,9 @@ struct HintFile {
 
 struct SisConfig {
   /// Hint-file versions retained in history(); older files are dropped from
-  /// the front (0 = unbounded). current_version() and the monotonic
-  /// counters are unaffected by trimming, as are active hints.
+  /// the front (0 = unbounded). current_version() and the registry's
+  /// sis.hints_uploaded / sis.hints_reverted counters are unaffected by
+  /// trimming, as are active hints.
   size_t history_retention = 128;
 };
 
@@ -93,8 +94,8 @@ class SnapshotView {
 /// SnapshotViews instead (see src/service/advisor_service.h).
 class StatsInsightService {
  public:
-  StatsInsightService() = default;
-  explicit StatsInsightService(SisConfig config) : config_(config) {}
+  StatsInsightService() : StatsInsightService(SisConfig{}) {}
+  explicit StatsInsightService(SisConfig config);
 
   /// Validates and installs a hint file as the next version.
   /// InvalidArgument for malformed entries (unknown rule id, duplicate
@@ -125,10 +126,6 @@ class StatsInsightService {
   const std::deque<HintFile>& history() const { return history_; }
   /// Versions trimmed out of history() by the retention window (monotonic).
   size_t history_dropped() const { return history_dropped_; }
-  /// Hint entries installed across every uploaded version (monotonic).
-  size_t total_hints_uploaded() const { return hints_uploaded_; }
-  /// Hints rolled back via RevertHint (monotonic).
-  size_t hints_reverted() const { return hints_reverted_; }
 
  private:
   SisConfig config_;
@@ -136,8 +133,6 @@ class StatsInsightService {
   std::deque<HintFile> history_;
   std::map<std::string, HintEntry> active_;
   size_t history_dropped_ = 0;
-  size_t hints_uploaded_ = 0;
-  size_t hints_reverted_ = 0;
 };
 
 }  // namespace qo::sis

@@ -9,10 +9,18 @@
 #include "core/recommend.h"
 #include "core/span.h"
 #include "core/validation.h"
+#include "common/symbol_table.h"
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 
 namespace qo::advisor {
 namespace {
+
+/// Value of a registry series; counts are process-wide, so tests that read
+/// them zero the registry first.
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 engine::ScopeEngine& Engine() {
   static auto* engine = new engine::ScopeEngine();
@@ -280,6 +288,7 @@ TEST(HintGenTest, OneHintPerTemplateSkippingNoops) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, MultiDayRunProducesConsistentReportsAndHints) {
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentEnv env(
       {.num_templates = 40, .jobs_per_day = 80, .seed = 31});
   sis::StatsInsightService sis;
@@ -315,16 +324,17 @@ TEST(PipelineTest, MultiDayRunProducesConsistentReportsAndHints) {
   // The pipeline sweeps many rule configs per job (span probes, multi-flip,
   // flighting); the per-job cross-config memo must have served a nonzero
   // share of those optimizer runs from a previously compiled config.
-  telemetry::OptimizerTelemetry opt_telemetry =
-      env.engine().optimizer_telemetry();
-  EXPECT_GT(opt_telemetry.memo_full_hits + opt_telemetry.memo_norm_hits, 0u);
-  EXPECT_GT(opt_telemetry.interned_symbols, 2u);
+  EXPECT_GT(Series("optimizer.memo.full_hits") +
+                Series("optimizer.memo.norm_hits"),
+            0.0);
+  EXPECT_GT(SymbolTable::Global().size(), 2u);
 }
 
 TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   // One pipeline instance persists across days; the Personalizer's event
   // log must not grow without bound (retention drops events that have been
   // trained on / whose reward-join horizon has passed).
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentEnv env(
       {.num_templates = 40, .jobs_per_day = 80, .seed = 31});
   sis::StatsInsightService sis;
@@ -342,17 +352,16 @@ TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   }
   // The run logged far more events than are retained...
   EXPECT_GT(pipeline.personalizer().logged_events(), 256u);
-  EXPECT_GT(pipeline.personalizer().telemetry().events_compacted, 0u);
+  EXPECT_GT(Series("bandit.events_compacted"), 0.0);
   // ...and every rewarded example still reaches the trainer: after a final
   // explicit retrain drains the pending batch, the incremental trainer has
   // consumed exactly one example per reward join — compaction never drops
   // an untrained example.
   pipeline.personalizer().Retrain();
-  const auto& telemetry = pipeline.personalizer().telemetry();
-  EXPECT_EQ(telemetry.examples_trained, telemetry.reward_joins);
+  EXPECT_EQ(Series("bandit.examples_trained"), Series("bandit.reward_joins"));
   // The recommender's per-job combined-feature cache served every Rank.
-  EXPECT_EQ(telemetry.combines, 0u);
-  EXPECT_GT(telemetry.precombined_reused, 0u);
+  EXPECT_EQ(Series("bandit.combines"), 0.0);
+  EXPECT_GT(Series("bandit.precombined_reused"), 0.0);
 }
 
 TEST(PipelineTest, HintedTemplatesCompileWithSingleFlip) {

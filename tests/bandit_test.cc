@@ -10,10 +10,18 @@
 #include "bandit/personalizer.h"
 
 #include "common/kernels/kernels.h"
+#include "obs/metrics.h"
 #include "optimizer/rules.h"
 
 namespace qo::bandit {
 namespace {
+
+/// Value of a registry series. The bandit.* counts are process-wide, so
+/// tests that read them zero the registry first and run one service per
+/// zeroed phase.
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 /// True when entries are strictly increasing by index (sorted + deduped).
 bool IsCanonical(const std::vector<std::pair<uint32_t, double>>& entries) {
@@ -299,6 +307,7 @@ TEST(PersonalizerTest, UniformExplorationHasUniformPropensity) {
 }
 
 TEST(PersonalizerTest, RewardJoinSemantics) {
+  obs::Registry::Get().ZeroAllForTest();
   PersonalizerService service;
   RankRequest req;
   req.event_id = "e1";
@@ -310,92 +319,123 @@ TEST(PersonalizerTest, RewardJoinSemantics) {
   EXPECT_TRUE(service.Reward("ghost", 1.0).IsNotFound());
   EXPECT_EQ(service.rewarded_events(), 1u);
   EXPECT_EQ(service.logged_events(), 1u);
-  EXPECT_EQ(service.telemetry().reward_joins, 1u);
-  EXPECT_EQ(service.telemetry().reward_failures, 2u);
+  EXPECT_EQ(Series("bandit.reward_joins"), 1.0);
+  EXPECT_EQ(Series("bandit.reward_failures"), 2.0);
 }
 
+/// What one service did with one event stream: its choices, propensities,
+/// final model scores per action, and the registry counts of its phase.
+struct StreamRun {
+  std::vector<size_t> chosen;
+  std::vector<double> probabilities;
+  std::vector<double> final_scores;
+  double combines = 0.0;
+  double precombined_reused = 0.0;
+  double examples_trained = 0.0;
+};
+
 TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
-  // Two identically seeded services fed the same event stream; one combines
-  // inline per Rank, the other shares precombined vectors per "job". Both
-  // must produce identical choices, propensities and learned models.
+  // Two identically seeded services fed the same event stream, one zeroed
+  // phase each; one combines inline per Rank, the other shares precombined
+  // vectors per "job". Both must produce identical choices, propensities
+  // and learned models.
   PersonalizerConfig config{.seed = 11, .retrain_interval = 40};
-  PersonalizerService inline_service(config);
-  PersonalizerService shared_service(config);
   FeatureVector context = SmallContext();
   std::vector<RankableAction> actions = ThreeActions();
-
-  for (int i = 0; i < 120; ++i) {
-    auto combined = CombineActionSet(context, actions);
-    RankRequest plain;
-    plain.event_id = "e";
-    plain.event_id += std::to_string(i);
-    plain.context = context;
-    plain.actions = actions;
-    plain.explore_uniform = (i % 2 == 0);
-    RankRequest pre = plain;
-    pre.precombined = combined;
-
-    auto r1 = inline_service.Rank(plain);
-    auto r2 = shared_service.Rank(pre);
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(r2.ok());
-    EXPECT_EQ(r1->chosen_index, r2->chosen_index);
-    EXPECT_EQ(r1->probability, r2->probability);
-    // The logged event holds the caller's vectors, not copies: the probe
-    // and acting arms of one job share one combine.
-    for (const auto& c : combined) EXPECT_GT(c.use_count(), 1);
-    double reward = r1->chosen_index == 1 ? 2.0 : 0.5;
-    ASSERT_TRUE(inline_service.Reward(r1->event_id, reward).ok());
-    ASSERT_TRUE(shared_service.Reward(r2->event_id, reward).ok());
+  auto run = [&](bool precombine) {
+    obs::Registry::Get().ZeroAllForTest();
+    PersonalizerService service(config);
+    StreamRun out;
+    for (int i = 0; i < 120; ++i) {
+      RankRequest req;
+      req.event_id = "e";
+      req.event_id += std::to_string(i);
+      req.context = context;
+      req.actions = actions;
+      req.explore_uniform = (i % 2 == 0);
+      if (precombine) req.precombined = CombineActionSet(context, actions);
+      auto r = service.Rank(req);
+      EXPECT_TRUE(r.ok());
+      if (!r.ok()) return out;
+      // The logged event holds the caller's vectors, not copies: the probe
+      // and acting arms of one job share one combine.
+      for (const auto& c : req.precombined) EXPECT_GT(c.use_count(), 1);
+      out.chosen.push_back(r->chosen_index);
+      out.probabilities.push_back(r->probability);
+      double reward = r->chosen_index == 1 ? 2.0 : 0.5;
+      EXPECT_TRUE(service.Reward(r->event_id, reward).ok());
+    }
+    service.Retrain();
+    for (const auto& action : actions) {
+      out.final_scores.push_back(
+          service.model().Score(CombineFeatures(context, action.features)));
+    }
+    out.combines = Series("bandit.combines");
+    out.precombined_reused = Series("bandit.precombined_reused");
+    return out;
+  };
+  const StreamRun inline_run = run(/*precombine=*/false);
+  const StreamRun shared_run = run(/*precombine=*/true);
+  ASSERT_EQ(inline_run.chosen.size(), 120u);
+  EXPECT_EQ(inline_run.chosen, shared_run.chosen);
+  EXPECT_EQ(inline_run.probabilities, shared_run.probabilities);
+  ASSERT_EQ(inline_run.final_scores.size(), shared_run.final_scores.size());
+  for (size_t a = 0; a < inline_run.final_scores.size(); ++a) {
+    EXPECT_DOUBLE_EQ(inline_run.final_scores[a], shared_run.final_scores[a]);
   }
-  inline_service.Retrain();
-  shared_service.Retrain();
-  for (const auto& action : actions) {
-    SparseVector probe = CombineFeatures(context, action.features);
-    EXPECT_DOUBLE_EQ(inline_service.model().Score(probe),
-                     shared_service.model().Score(probe));
-  }
-  EXPECT_GT(shared_service.telemetry().precombined_reused, 0u);
-  EXPECT_EQ(shared_service.telemetry().combines, 0u);
+  EXPECT_EQ(inline_run.combines, 120.0 * 3.0);
+  EXPECT_EQ(inline_run.precombined_reused, 0.0);
+  EXPECT_GT(shared_run.precombined_reused, 0.0);
+  EXPECT_EQ(shared_run.combines, 0.0);
 }
 
 TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
   // With epochs = 1, retraining after every batch produces exactly the same
   // SGD update sequence as one retrain over all pending examples: the
-  // incremental path must drop nothing and train nothing twice.
+  // incremental path must drop nothing and train nothing twice. One zeroed
+  // phase per service.
   PersonalizerConfig config{.model = {.epochs = 1},
                             .seed = 21,
                             .retrain_interval = 1000000};
-  PersonalizerService incremental(config);
-  PersonalizerService full(config);
   FeatureVector context = SmallContext();
   std::vector<RankableAction> actions = ThreeActions();
-
-  for (int i = 0; i < 120; ++i) {
-    RankRequest req;
-    req.event_id = "e";
-    req.event_id += std::to_string(i);
-    req.context = context;
-    req.actions = actions;
-    req.explore_uniform = true;  // identical RNG consumption in both
-    auto r1 = incremental.Rank(req);
-    auto r2 = full.Rank(req);
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(r2.ok());
-    ASSERT_EQ(r1->chosen_index, r2->chosen_index);
-    double reward = r1->chosen_index == 2 ? 1.5 : 0.5;
-    ASSERT_TRUE(incremental.Reward(r1->event_id, reward).ok());
-    ASSERT_TRUE(full.Reward(r2->event_id, reward).ok());
-    if ((i + 1) % 40 == 0) incremental.Retrain();
+  auto run = [&](bool incremental) {
+    obs::Registry::Get().ZeroAllForTest();
+    PersonalizerService service(config);
+    StreamRun out;
+    for (int i = 0; i < 120; ++i) {
+      RankRequest req;
+      req.event_id = "e";
+      req.event_id += std::to_string(i);
+      req.context = context;
+      req.actions = actions;
+      req.explore_uniform = true;  // identical RNG consumption in both
+      auto r = service.Rank(req);
+      EXPECT_TRUE(r.ok());
+      if (!r.ok()) return out;
+      out.chosen.push_back(r->chosen_index);
+      double reward = r->chosen_index == 2 ? 1.5 : 0.5;
+      EXPECT_TRUE(service.Reward(r->event_id, reward).ok());
+      if (incremental && (i + 1) % 40 == 0) service.Retrain();
+    }
+    if (!incremental) service.Retrain();
+    for (const auto& action : actions) {
+      out.final_scores.push_back(
+          service.model().Score(CombineFeatures(context, action.features)));
+    }
+    out.examples_trained = Series("bandit.examples_trained");
+    return out;
+  };
+  const StreamRun incremental = run(/*incremental=*/true);
+  const StreamRun full = run(/*incremental=*/false);
+  ASSERT_EQ(incremental.chosen.size(), 120u);
+  ASSERT_EQ(incremental.chosen, full.chosen);
+  ASSERT_EQ(incremental.final_scores.size(), full.final_scores.size());
+  for (size_t a = 0; a < full.final_scores.size(); ++a) {
+    EXPECT_DOUBLE_EQ(incremental.final_scores[a], full.final_scores[a]);
   }
-  full.Retrain();
-  for (const auto& action : actions) {
-    SparseVector probe = CombineFeatures(context, action.features);
-    EXPECT_DOUBLE_EQ(incremental.model().Score(probe),
-                     full.model().Score(probe));
-  }
-  EXPECT_EQ(incremental.telemetry().examples_trained,
-            full.telemetry().examples_trained);
+  EXPECT_EQ(incremental.examples_trained, 120.0);
+  EXPECT_EQ(incremental.examples_trained, full.examples_trained);
 }
 
 TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
@@ -439,6 +479,7 @@ TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
 }
 
 TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
+  obs::Registry::Get().ZeroAllForTest();
   PersonalizerService service({.seed = 13,
                                .retrain_interval = 16,
                                .retention_window = 64});
@@ -458,7 +499,7 @@ TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
     EXPECT_LE(service.resident_events(), 64u);
   }
   EXPECT_EQ(service.logged_events(), 400u);
-  EXPECT_GT(service.telemetry().events_compacted, 0u);
+  EXPECT_EQ(Series("bandit.events_compacted"), 400.0 - 64.0);
   // A reward for an event beyond the retention window is an expired join.
   EXPECT_TRUE(service.Reward("e0", 1.0).IsNotFound());
   // The retained window still supports offline evaluation.

@@ -21,6 +21,7 @@
 #include "core/span.h"
 #include "engine/engine.h"
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "scope/compiler.h"
 #include "sis/sis.h"
@@ -39,24 +40,33 @@ struct IntHasher {
 
 using IntCache = cache::ShardedLruCache<int, int, IntHasher>;
 
+/// Registry series the test caches count into.
+constexpr char kLruSeries[] = "test.lru";
+
+/// Value of a registry series; counts are process-wide, so tests that read
+/// them zero the registry first.
+double Series(const std::string& name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
+
 TEST(ShardedLruTest, HitMissCounters) {
-  IntCache c(/*capacity=*/8, /*num_shards=*/1);
+  obs::Registry::Get().ZeroAllForTest();
+  IntCache c(/*capacity=*/8, /*num_shards=*/1, kLruSeries);
   EXPECT_FALSE(c.Get(1).has_value());
   c.Insert(1, 100);
   auto hit = c.Get(1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 100);
-  telemetry::CacheCounters counters = c.Counters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.evictions, 0u);
-  EXPECT_EQ(counters.entries, 1u);
-  EXPECT_EQ(counters.capacity, 8u);
-  EXPECT_DOUBLE_EQ(counters.hit_rate(), 0.5);
+  EXPECT_EQ(Series("test.lru.hits"), 1.0);
+  EXPECT_EQ(Series("test.lru.misses"), 1.0);
+  EXPECT_EQ(Series("test.lru.evictions"), 0.0);
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.capacity(), 8u);
 }
 
 TEST(ShardedLruTest, EvictsLeastRecentlyUsedInOrder) {
-  IntCache c(/*capacity=*/3, /*num_shards=*/1);
+  obs::Registry::Get().ZeroAllForTest();
+  IntCache c(/*capacity=*/3, /*num_shards=*/1, kLruSeries);
   c.Insert(1, 10);
   c.Insert(2, 20);
   c.Insert(3, 30);
@@ -70,20 +80,22 @@ TEST(ShardedLruTest, EvictsLeastRecentlyUsedInOrder) {
   EXPECT_TRUE(c.Get(1).has_value());
   EXPECT_TRUE(c.Get(4).has_value());
   EXPECT_TRUE(c.Get(5).has_value());
-  EXPECT_EQ(c.Counters().evictions, 2u);
+  EXPECT_EQ(Series("test.lru.evictions"), 2.0);
 }
 
 TEST(ShardedLruTest, CapacityBoundHoldsAcrossShards) {
+  obs::Registry::Get().ZeroAllForTest();
   const size_t kCapacity = 64;
-  cache::ShardedLruCache<int, int, IntHasher> c(kCapacity, /*num_shards=*/7);
+  IntCache c(kCapacity, /*num_shards=*/7, kLruSeries);
   for (int i = 0; i < 10000; ++i) c.Insert(i, i);
   // Per-shard slices round up, so allow one extra entry per shard.
   EXPECT_LE(c.size(), kCapacity + c.num_shards());
-  EXPECT_GE(c.Counters().evictions, 10000u - kCapacity - c.num_shards());
+  EXPECT_GE(Series("test.lru.evictions"),
+            static_cast<double>(10000u - kCapacity - c.num_shards()));
 }
 
 TEST(ShardedLruTest, InsertRaceKeepsFirstValue) {
-  IntCache c(/*capacity=*/4, /*num_shards=*/1);
+  IntCache c(/*capacity=*/4, /*num_shards=*/1, kLruSeries);
   EXPECT_EQ(c.Insert(7, 70), 70);
   // A second writer loses and receives the resident value.
   EXPECT_EQ(c.Insert(7, 71), 70);
@@ -91,7 +103,7 @@ TEST(ShardedLruTest, InsertRaceKeepsFirstValue) {
 }
 
 TEST(ShardedLruTest, GetOrComputeOnlyComputesOnMiss) {
-  IntCache c(/*capacity=*/4, /*num_shards=*/2);
+  IntCache c(/*capacity=*/4, /*num_shards=*/2, kLruSeries);
   int computed = 0;
   auto compute = [&] {
     ++computed;
@@ -103,8 +115,8 @@ TEST(ShardedLruTest, GetOrComputeOnlyComputesOnMiss) {
 }
 
 TEST(ShardedLruTest, ConcurrentMixedAccessIsConsistent) {
-  cache::ShardedLruCache<int, int, IntHasher> c(/*capacity=*/128,
-                                                /*num_shards=*/8);
+  obs::Registry::Get().ZeroAllForTest();
+  IntCache c(/*capacity=*/128, /*num_shards=*/8, kLruSeries);
   std::atomic<bool> wrong{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -119,8 +131,8 @@ TEST(ShardedLruTest, ConcurrentMixedAccessIsConsistent) {
   for (auto& th : threads) th.join();
   // Whatever the interleaving, a key can only ever map to its own value.
   EXPECT_FALSE(wrong);
-  telemetry::CacheCounters counters = c.Counters();
-  EXPECT_EQ(counters.lookups(), 8u * 2000u);
+  EXPECT_EQ(Series("test.lru.hits") + Series("test.lru.misses"),
+            8.0 * 2000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +205,7 @@ std::string Serialize(const opt::CompilationOutput& out) {
 }
 
 TEST(CompilationCacheTest, CachedEqualsFreshCompileAcrossConfigs) {
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine cached;
   std::vector<opt::RuleConfig> configs = {
       opt::RuleConfig::Default(),
@@ -218,14 +231,14 @@ TEST(CompilationCacheTest, CachedEqualsFreshCompileAcrossConfigs) {
       EXPECT_EQ(Serialize(*a), Serialize(*again)) << job.job_id;
     }
   }
-  telemetry::CompileCacheTelemetry t = cached.compile_cache_telemetry();
-  EXPECT_GT(t.front_end.hits, 0u);
-  EXPECT_GT(t.front_end.misses, 0u);
+  EXPECT_GT(Series("cache.front_end.hits"), 0.0);
+  EXPECT_GT(Series("cache.front_end.misses"), 0.0);
   // Every repeat is served by the memo's full tier, without an optimizer run.
-  EXPECT_GT(cached.optimizer_telemetry().memo_full_hits, 0u);
+  EXPECT_GT(Series("optimizer.memo.full_hits"), 0.0);
 }
 
 TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine engine;
   workload::JobInstance job = Jobs(4, 4)[0];
   auto first = engine.CompileShared(job, opt::RuleConfig::Default());
@@ -233,27 +246,27 @@ TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
   ASSERT_TRUE(first.ok() && second.ok());
   // Same immutable output, not a copy.
   EXPECT_EQ(first->get(), second->get());
-  telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
-  EXPECT_EQ(t.front_end.misses, 1u);
-  EXPECT_EQ(t.front_end.hits, 1u);
-  EXPECT_EQ(t.front_end.entries, 1u);
-  telemetry::OptimizerTelemetry memo = engine.optimizer_telemetry();
-  EXPECT_EQ(memo.memo_misses, 1u);
-  EXPECT_EQ(memo.memo_full_hits, 1u);
-  EXPECT_EQ(memo.memo_norm_hits, 0u);
+  EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.hits"), 1.0);
+  EXPECT_EQ(Series("optimizer.memo.misses"), 1.0);
+  EXPECT_EQ(Series("optimizer.memo.full_hits"), 1.0);
+  EXPECT_EQ(Series("optimizer.memo.norm_hits"), 0.0);
 }
 
 TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine engine;
   workload::JobInstance job = Jobs(4, 8)[0];
   auto span = advisor::ComputeJobSpan(engine, job);
   ASSERT_TRUE(span.ok());
-  telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
   // The fix-point compiled `iterations` distinct configs but parsed once.
   EXPECT_GE(span->iterations, 2);
-  EXPECT_EQ(t.front_end.misses, 1u);
-  EXPECT_EQ(static_cast<int>(t.front_end.lookups()), span->iterations);
-  EXPECT_EQ(static_cast<int>(engine.optimizer_telemetry().memo_lookups()),
+  EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.hits") + Series("cache.front_end.misses"),
+            span->iterations);
+  EXPECT_EQ(Series("optimizer.memo.full_hits") +
+                Series("optimizer.memo.norm_hits") +
+                Series("optimizer.memo.misses"),
             span->iterations);
 
   // The front-end plan is shared by every consumer of this job.
@@ -264,6 +277,7 @@ TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
 }
 
 TEST(CompilationCacheTest, ParseErrorsAreCachedAndIdentical) {
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine cached;
   workload::JobInstance job = Jobs(4, 4)[0];
   job.script = "THIS IS NOT SCOPE";
@@ -273,7 +287,7 @@ TEST(CompilationCacheTest, ParseErrorsAreCachedAndIdentical) {
   ASSERT_FALSE(a.ok());
   EXPECT_EQ(a.status(), b.status());
   EXPECT_EQ(a.status(), c.status());
-  EXPECT_EQ(cached.compile_cache_telemetry().front_end.misses, 1u);
+  EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
 }
 
 TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {

@@ -12,12 +12,19 @@
 #include "experiments/experiments.h"
 #include "guard/fault_injector.h"
 #include "guard/guardrail.h"
+#include "obs/metrics.h"
 #include "optimizer/rules.h"
 #include "sis/sis.h"
 #include "telemetry/workload_view.h"
 
 namespace qo {
 namespace {
+
+/// Value of a registry series; counts are process-wide, so tests that read
+/// them zero the registry first.
+double Series(const std::string& name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 // ---------------------------------------------------------------------------
 // Fault injector: pure, seeded, call-order independent.
@@ -172,6 +179,7 @@ TEST(HintFileHardeningTest, CorruptionCorpusIsNeverSilentlyInstalled) {
 }
 
 TEST(SisHistoryTest, RetentionBoundsHistoryWithoutTouchingCounters) {
+  obs::Registry::Get().ZeroAllForTest();
   sis::StatsInsightService sis({.history_retention = 3});
   for (int i = 0; i < 10; ++i) {
     sis::HintFile f;
@@ -185,7 +193,7 @@ TEST(SisHistoryTest, RetentionBoundsHistoryWithoutTouchingCounters) {
   EXPECT_EQ(sis.history().front().day, 7);
   // Version and monotonic counters are unaffected by trimming.
   EXPECT_EQ(sis.current_version(), 10);
-  EXPECT_EQ(sis.total_hints_uploaded(), 10u);
+  EXPECT_EQ(Series("sis.hints_uploaded"), 10.0);
   EXPECT_EQ(sis.active_hints(), 10u);
   // Default config keeps the old unbounded-ish behavior.
   EXPECT_EQ(sis::SisConfig{}.history_retention, 128u);
@@ -211,6 +219,7 @@ telemetry::WorkloadView MakeDay(int day, const std::string& tpl, double pn,
 }
 
 TEST(HintWatchdogTest, RevertsSustainedRegressionAndQuarantines) {
+  obs::Registry::Get().ZeroAllForTest();
   sis::StatsInsightService sis;
   guard::HintWatchdog dog(
       {.regress_threshold = 0.25, .min_samples = 2, .hysteresis_days = 2,
@@ -239,9 +248,9 @@ TEST(HintWatchdogTest, RevertsSustainedRegressionAndQuarantines) {
   EXPECT_EQ(actions[0].day, 4);
   EXPECT_NEAR(actions[0].regression, 0.5, 1e-9);
   EXPECT_FALSE(sis.LookupHint("T").has_value());
-  EXPECT_EQ(sis.hints_reverted(), 1u);
-  EXPECT_EQ(dog.reverts(), 1u);
-  EXPECT_EQ(dog.quarantines(), 1u);
+  EXPECT_EQ(Series("sis.hints_reverted"), 1.0);
+  EXPECT_EQ(Series("guard.watchdog_reverts"), 1.0);
+  EXPECT_EQ(Series("guard.watchdog_quarantines"), 1.0);
 
   // The quarantine blocks the pair until day 4 + 14.
   EXPECT_TRUE(dog.Quarantined("T", opt::rules::kEagerAggregationLeft, 5));
@@ -356,11 +365,13 @@ struct ChaosRunOutput {
   std::vector<std::string> report_lines;
   std::vector<std::string> sis_files;
   int sis_version = 0;
-  std::string guard_telemetry;
-  uint64_t faults_injected = 0;
+  /// Every guard.* registry series of the run, one "name=value" per line.
+  std::string guard_series;
+  double faults_injected = 0.0;
 };
 
 ChaosRunOutput RunChaosPipeline(int threads, int days) {
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentConfig econfig{.num_templates = 24,
                                         .jobs_per_day = 48,
                                         .seed = 31,
@@ -387,8 +398,14 @@ ChaosRunOutput RunChaosPipeline(int threads, int days) {
     out.sis_files.push_back(file.Serialize());
   }
   out.sis_version = sis.current_version();
-  out.guard_telemetry = pipeline.steering_guard().telemetry().ToString();
-  out.faults_injected = pipeline.steering_guard().telemetry().faults_injected();
+  for (const auto& [name, value] : obs::Registry::Get().Snapshot().series) {
+    if (name.rfind("guard.", 0) != 0) continue;
+    out.guard_series += name;
+    out.guard_series += '=';
+    out.guard_series += std::to_string(value);
+    out.guard_series += '\n';
+    if (name.rfind("guard.faults_", 0) == 0) out.faults_injected += value;
+  }
   return out;
 }
 
@@ -397,12 +414,12 @@ TEST(ChaosDeterminismTest, SameSeedIsByteIdenticalAcrossThreadCounts) {
   ChaosRunOutput serial = RunChaosPipeline(1, kDays);
   ASSERT_EQ(serial.report_lines.size(), static_cast<size_t>(kDays));
   // The chaos config actually bites: faults were injected somewhere.
-  EXPECT_GT(serial.faults_injected, 0u);
+  EXPECT_GT(serial.faults_injected, 0.0);
   ChaosRunOutput parallel = RunChaosPipeline(4, kDays);
   EXPECT_EQ(serial.report_lines, parallel.report_lines);
   EXPECT_EQ(serial.sis_files, parallel.sis_files);
   EXPECT_EQ(serial.sis_version, parallel.sis_version);
-  EXPECT_EQ(serial.guard_telemetry, parallel.guard_telemetry);
+  EXPECT_EQ(serial.guard_series, parallel.guard_series);
 }
 
 TEST(ChaosDeterminismTest, SameSeedTwiceIsByteIdentical) {
@@ -410,7 +427,7 @@ TEST(ChaosDeterminismTest, SameSeedTwiceIsByteIdentical) {
   ChaosRunOutput b = RunChaosPipeline(2, 4);
   EXPECT_EQ(a.report_lines, b.report_lines);
   EXPECT_EQ(a.sis_files, b.sis_files);
-  EXPECT_EQ(a.guard_telemetry, b.guard_telemetry);
+  EXPECT_EQ(a.guard_series, b.guard_series);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +446,7 @@ TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
   econfig.faults.seed = 7;
   econfig.faults.hint_regression_prob = 1.0;
   econfig.faults.hint_regression_factor = 6.0;
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentEnv env(econfig);
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
@@ -460,14 +478,14 @@ TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
   EXPECT_GE(first_revert_day,
             first_hint_day + config.guard.watchdog.hysteresis_days);
   const auto& dog = pipeline.steering_guard().watchdog();
-  EXPECT_EQ(dog.reverts(), total_reverted);
-  EXPECT_GT(dog.quarantines(), 0u);
+  EXPECT_EQ(Series("guard.watchdog_reverts"), total_reverted);
+  EXPECT_GT(Series("guard.watchdog_quarantines"), 0.0);
   EXPECT_GT(env.regressions_injected(), 0u);
   // Quarantined pairs stayed blocked: the guard counters saw the pipeline
   // refuse to re-recommend at least one of them, or the cool-down simply
   // outlived the run — either way the pair is still quarantined now.
   EXPECT_GT(dog.ActiveQuarantines(13), 0u);
-  EXPECT_EQ(sis.hints_reverted(), total_reverted);
+  EXPECT_EQ(Series("sis.hints_reverted"), total_reverted);
 }
 
 // Net impact stays non-negative under a 10% injected flight-failure rate:

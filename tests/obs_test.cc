@@ -11,11 +11,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "service/advisor_service.h"
+#include "sis/sis.h"
+#include "workload/workload.h"
 
 namespace qo::obs {
 namespace {
@@ -388,7 +393,8 @@ TEST(MetricsIdentityTest, Fig10PipelineByteIdenticalMetricsOnOff) {
   expect_equal(on1, off4, "threads=4 off vs threads=1 on");
 }
 
-// The pipeline surfaces every legacy telemetry struct as registry series.
+// A pipeline run surfaces every subsystem's counters, the pipeline's state
+// collector and the phase timers in one snapshot.
 TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   MetricsOverrideGuard on(1);
   // Earlier tests in this process have already recorded spans; zero
@@ -424,6 +430,168 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   const HistogramSnapshot* run_day = snap.FindHistogram("span.run_day");
   ASSERT_NE(run_day, nullptr);
   EXPECT_EQ(run_day->total, 2u);
+}
+
+// --- Counts live in the registry, not in their owners ----------------------
+
+std::vector<workload::JobInstance> CounterJobs() {
+  workload::WorkloadDriver driver(
+      {.num_templates = 6, .jobs_per_day = 12, .seed = 5});
+  return driver.DayJobs(0);
+}
+
+// Compiles every job under the default config; returns how many compiled.
+double CompileAll(const engine::ScopeEngine& engine,
+                  const std::vector<workload::JobInstance>& jobs) {
+  double ok = 0.0;
+  for (const auto& job : jobs) {
+    ok += engine.CompileShared(job, opt::RuleConfig::Default()).ok() ? 1 : 0;
+  }
+  return ok;
+}
+
+double MemoLookups(const MetricsSnapshot& snap) {
+  return snap.SeriesValue("optimizer.memo.full_hits") +
+         snap.SeriesValue("optimizer.memo.norm_hits") +
+         snap.SeriesValue("optimizer.memo.misses");
+}
+
+TEST(RegistryCountersTest, EngineCountsOutliveTheEngine) {
+  Registry::Get().ZeroAllForTest();
+  const std::vector<workload::JobInstance> jobs = CounterJobs();
+  double compiled = 0.0;
+  {
+    engine::ScopeEngine engine;
+    compiled = CompileAll(engine, jobs);
+  }
+  ASSERT_GT(compiled, 0.0);
+  // The engine is gone; its front-end and memo counts are not.
+  const MetricsSnapshot snap = Registry::Get().Snapshot();
+  EXPECT_GT(snap.SeriesValue("cache.front_end.misses"), 0.0);
+  EXPECT_EQ(snap.SeriesValue("cache.front_end.hits") +
+                snap.SeriesValue("cache.front_end.misses"),
+            static_cast<double>(jobs.size()));
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.misses"), 0.0);
+  EXPECT_EQ(MemoLookups(snap), compiled);
+}
+
+TEST(RegistryCountersTest, CountsSumAcrossEnginesAndNoRatiosAreExported) {
+  Registry::Get().ZeroAllForTest();
+  const std::vector<workload::JobInstance> jobs = CounterJobs();
+  // Two engines, each compiling the same jobs twice: the second pass of
+  // each is served by that engine's own front end and memo.
+  engine::ScopeEngine first;
+  CompileAll(first, jobs);
+  CompileAll(first, jobs);
+  const MetricsSnapshot one = Registry::Get().Snapshot();
+  engine::ScopeEngine second;
+  CompileAll(second, jobs);
+  CompileAll(second, jobs);
+  const MetricsSnapshot both = Registry::Get().Snapshot();
+
+  for (const char* name :
+       {"cache.front_end.hits", "cache.front_end.misses",
+        "optimizer.memo.full_hits", "optimizer.memo.misses"}) {
+    EXPECT_GT(one.SeriesValue(name), 0.0) << name;
+    // The second engine repeats the first one's work exactly, so the
+    // process-wide count is the sum over both engines.
+    EXPECT_EQ(both.SeriesValue(name), 2.0 * one.SeriesValue(name)) << name;
+  }
+  // Ratios and capacities do not sum across instances, so none is exported:
+  // readers derive rates from the counts.
+  auto ends_with = [](const std::string& s, std::string_view suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  for (const auto& [name, value] : both.series) {
+    EXPECT_FALSE(ends_with(name, "_rate")) << name;
+    EXPECT_FALSE(ends_with(name, ".capacity")) << name;
+    EXPECT_FALSE(ends_with(name, ".entries")) << name;
+  }
+}
+
+TEST(RegistryCountersTest, GuardAndFlightCountsRecordWithMetricsOff) {
+  // QO_METRICS=0 gates timing only: a chaos pipeline day still counts its
+  // guardrail and flight activity.
+  MetricsOverrideGuard off(0);
+  Registry::Get().ZeroAllForTest();
+  experiments::ExperimentConfig econfig{
+      .num_templates = 24, .jobs_per_day = 48, .seed = 31, .threads = 1};
+  econfig.faults.seed = 1337;
+  econfig.faults.compile_error_prob = 0.05;
+  econfig.faults.flight_failure_prob = 0.10;
+  econfig.faults.telemetry_drop_prob = 0.05;
+  experiments::ExperimentEnv env(econfig);
+  sis::StatsInsightService sis;
+  advisor::PipelineConfig config;
+  config.runtime = env.runtime_options();
+  config.flighting.total_budget_machine_hours = 1e6;
+  config.recommender.uniform_probes_per_job = 3;
+  config.guard.enabled = true;
+  config.guard.faults = econfig.faults;
+  advisor::QoAdvisorPipeline pipeline(&env.engine(), &sis, config,
+                                      env.runtime());
+  ASSERT_TRUE(pipeline.RunDay(env.BuildDayView(0, &sis)).ok());
+
+  const MetricsSnapshot snap = Registry::Get().Snapshot();
+  double guard = 0.0, flight = 0.0;
+  for (const auto& [name, value] : snap.series) {
+    if (name.rfind("guard.", 0) == 0) guard += value;
+    if (name.rfind("flight.", 0) == 0 && name != "flight.budget_total_hours" &&
+        name != "flight.budget_used_hours") {
+      flight += value;
+    }
+  }
+  EXPECT_GT(guard, 0.0);
+  EXPECT_GT(flight, 0.0);
+  EXPECT_EQ(snap.SeriesValue("pipeline.days"), 1.0);
+  // No timer recorded anything.
+  const HistogramSnapshot* run_day = snap.FindHistogram("span.run_day");
+  EXPECT_TRUE(run_day == nullptr || run_day->total == 0);
+}
+
+TEST(RegistryCountersTest, ServiceRunReportOutlivesTheService) {
+  // The service_load shape: serve compile/rank/reward traffic, destroy the
+  // service, then write the run report. Its engines' and learners' counts
+  // must still be in the report.
+  MetricsOverrideGuard on(1);
+  Registry::Get().ZeroAllForTest();
+  const std::vector<workload::JobInstance> jobs = CounterJobs();
+  {
+    service::AdvisorService advisor;
+    auto session = advisor.OpenTenant("tenant_0");
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(session->Compile(jobs[i]).ok());
+      service::RankRequest rank;
+      rank.event_id = "e";
+      rank.event_id += std::to_string(i);
+      rank.context.AddNamed("tpl:" + jobs[i].template_name, 1.0);
+      for (int rule = 0; rule < 3; ++rule) {
+        bandit::RankableAction action;
+        action.action_id = "flip_";
+        action.action_id += std::to_string(rule);
+        action.features.AddNamed(action.action_id, 1.0);
+        rank.actions.push_back(std::move(action));
+      }
+      auto ranked = session->Rank(rank);
+      ASSERT_TRUE(ranked.ok()) << ranked.status();
+      ASSERT_TRUE(session->Reward(ranked->event, 1.0).ok());
+    }
+  }
+  const MetricsSnapshot snap = Registry::Get().Snapshot();
+  const std::string line = RunReportJsonLine("service_load", -1, snap);
+  for (const char* name :
+       {"\"optimizer.memo.full_hits\":", "\"optimizer.memo.norm_hits\":",
+        "\"optimizer.memo.misses\":", "\"cache.front_end.misses\":",
+        "\"bandit.ranks\":", "\"service.rank_requests\":"}) {
+    EXPECT_NE(line.find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(snap.SeriesValue("bandit.ranks"),
+            static_cast<double>(jobs.size()));
+  EXPECT_EQ(snap.SeriesValue("bandit.reward_joins"),
+            static_cast<double>(jobs.size()));
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.misses"), 0.0);
 }
 
 }  // namespace
