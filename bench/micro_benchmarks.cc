@@ -8,7 +8,6 @@
 #include "bandit/cb_model.h"
 #include "bandit/personalizer.h"
 #include "common/bitvector.h"
-#include "common/kernels/kernels.h"
 #include "core/feature_gen.h"
 #include "core/span.h"
 #include "engine/engine.h"
@@ -400,24 +399,10 @@ void BM_PersonalizerRankPrecombined(benchmark::State& state) {
 }
 BENCHMARK(BM_PersonalizerRankPrecombined);
 
-// --- Vectorized data plane (src/common/kernels/): scalar-vs-AVX2 A/B on
-// the dispatched SoA hot paths. The avx2=0/1 axis pins the kernel table via
-// the test hook; outputs are byte-identical across the axis (asserted by
-// kernels_test / exec_test / bandit_test), so only wall time moves. On a
-// machine without AVX2 both legs measure the scalar table.
+// --- Data plane: batched A/A runs over one prepared profile, per-arm
+// scoring of a rank request, and the combine arena.
 
-const kernels::KernelTable& TableForArg(int64_t arg) {
-  if (arg == 0) return kernels::ScalarTable();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (kernels::Avx2Compiled() && __builtin_cpu_supports("avx2")) {
-    return kernels::Avx2Table();
-  }
-#endif
-  return kernels::ScalarTable();
-}
-
-void BM_ExecuteRunsSoA(benchmark::State& state) {
-  kernels::SetActiveTableForTest(&TableForArg(state.range(0)));
+void BM_ExecuteRuns(benchmark::State& state) {
   engine::ScopeEngine engine;
   auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
   exec::ClusterSimulator sim;
@@ -431,12 +416,10 @@ void BM_ExecuteRunsSoA(benchmark::State& state) {
     seed += kRuns;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRuns);
-  kernels::SetActiveTableForTest(nullptr);
 }
-BENCHMARK(BM_ExecuteRunsSoA)->ArgName("avx2")->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecuteRuns);
 
 void BM_ScoreBatch(benchmark::State& state) {
-  kernels::SetActiveTableForTest(&TableForArg(state.range(0)));
   bandit::FeatureVector shared = BenchContext();
   std::vector<bandit::LoggedExample> examples;
   for (int i = 0; i < 256; ++i) {
@@ -458,16 +441,14 @@ void BM_ScoreBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(arms.size()));
-  kernels::SetActiveTableForTest(nullptr);
 }
-BENCHMARK(BM_ScoreBatch)->ArgName("avx2")->Arg(0)->Arg(1);
+BENCHMARK(BM_ScoreBatch);
 
 void BM_CombineArena(benchmark::State& state) {
-  kernels::SetActiveTableForTest(&TableForArg(state.range(0)));
   // Twelve span bits put hundreds of entries in the shared vector, and the
   // quadratic (shared x action) cross pushes the raw entry count well past
   // the arena cutover — this measures the bump-arena build plus the
-  // collect_nonzero_words sparse-emit scan, not the small-vector sort path.
+  // CollectNonzeroWords sparse-emit scan, not the small-vector sort path.
   bandit::JobContext ctx;
   ctx.span = BitVector256::FromPositions(
       {3, 17, 41, 44, 50, 77, 101, 160, 203, 204, 211, 249});
@@ -479,50 +460,8 @@ void BM_CombineArena(benchmark::State& state) {
     auto combined = bandit::CombineFeatures(shared, action);
     benchmark::DoNotOptimize(combined);
   }
-  kernels::SetActiveTableForTest(nullptr);
 }
-BENCHMARK(BM_CombineArena)->ArgName("avx2")->Arg(0)->Arg(1);
-
-void BM_KernelDot4(benchmark::State& state) {
-  const kernels::KernelTable& table = TableForArg(state.range(0));
-  constexpr size_t kColumns = 512;
-  std::vector<double> rows(2 * kernels::kLanes * kColumns);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i] = 0.25 * static_cast<double>(i % 17) - 2.0;
-  }
-  const double* v[kernels::kLanes];
-  const double* w[kernels::kLanes];
-  for (size_t j = 0; j < kernels::kLanes; ++j) {
-    v[j] = rows.data() + j * kColumns;
-    w[j] = rows.data() + (kernels::kLanes + j) * kColumns;
-  }
-  double acc[kernels::kLanes];
-  for (auto _ : state) {
-    for (double& a : acc) a = 0.0;
-    table.dot4(v, w, kColumns, acc);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kColumns * kernels::kLanes));
-}
-BENCHMARK(BM_KernelDot4)->ArgName("avx2")->Arg(0)->Arg(1);
-
-void BM_KernelClampRange(benchmark::State& state) {
-  const kernels::KernelTable& table = TableForArg(state.range(0));
-  // In-place clamp over an NdvMap-sized column; values already inside the
-  // range stay put, so re-clamping per iteration measures steady state.
-  std::vector<double> ndv(4096);
-  for (size_t i = 0; i < ndv.size(); ++i) {
-    ndv[i] = static_cast<double>((i * 37) % 4000);
-  }
-  for (auto _ : state) {
-    table.clamp_range(ndv.data(), ndv.size(), 1.0, 2000.0);
-    benchmark::DoNotOptimize(ndv.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ndv.size()));
-}
-BENCHMARK(BM_KernelClampRange)->ArgName("avx2")->Arg(0)->Arg(1);
+BENCHMARK(BM_CombineArena);
 
 // --- Parallel runtime: threads=N axes. On a single hardware thread these
 // show the runtime's overhead ceiling; on multi-core they show the fan-out

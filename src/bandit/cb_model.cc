@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/kernels/kernels.h"
-
 namespace qo::bandit {
 
 CbModel::CbModel(CbModelConfig config) : config_(config) {
@@ -11,80 +9,48 @@ CbModel::CbModel(CbModelConfig config) : config_(config) {
 }
 
 double CbModel::Score(const SparseVector& features) const {
+  return Accumulate(features, 0, 0.0);
+}
+
+double CbModel::Accumulate(const SparseVector& features, size_t begin,
+                           double sum) const {
   const std::vector<uint32_t>& idx = features.indices();
   const std::vector<double>& val = features.values();
-  double s = 0.0;
-  for (size_t k = 0; k < idx.size(); ++k) {
-    s += static_cast<double>(weights_[idx[k]]) * val[k];
+  for (size_t k = begin; k < idx.size(); ++k) {
+    sum += static_cast<double>(weights_[idx[k]]) * val[k];
   }
-  return s;
+  return sum;
 }
 
 std::vector<double> CbModel::ScoreBatch(
     const std::vector<std::shared_ptr<const SparseVector>>& arms) const {
-  using kernels::kLanes;
-  std::vector<double> scores(arms.size(), 0.0);
-  const kernels::KernelTable& kt = kernels::Active();
-  // Per-thread gather scratch, grown to the widest block seen: four
-  // lane-contiguous weight rows. The value rows need no packing at all —
-  // each arm's dense value column is already a contiguous row.
-  thread_local std::vector<double> gathered_weights;
-
-  size_t block = 0;
-  for (; block + kLanes <= arms.size(); block += kLanes) {
-    const SparseVector* lane_arm[kLanes];
-    size_t min_n = SIZE_MAX;
-    bool all_present = true;
-    for (size_t j = 0; j < kLanes; ++j) {
-      lane_arm[j] = arms[block + j].get();
-      if (lane_arm[j] == nullptr) {
-        all_present = false;
-        break;
+  static const SparseVector kEmpty;  // a null arm scores like an empty one
+  auto arm = [&](size_t i) -> const SparseVector& {
+    return arms[i] != nullptr ? *arms[i] : kEmpty;
+  };
+  std::vector<double> scores(arms.size());
+  // Four arms at a time: each arm's sum is one serial chain of dependent
+  // adds, so interleaving four chains keeps four adds in flight instead of
+  // one. Every chain still accumulates in Score()'s order, so each score is
+  // bit-identical to Score() on that arm.
+  size_t a = 0;
+  for (; a + 4 <= arms.size(); a += 4) {
+    const SparseVector* v[4] = {&arm(a), &arm(a + 1), &arm(a + 2),
+                                &arm(a + 3)};
+    const size_t common = std::min(std::min(v[0]->size(), v[1]->size()),
+                                   std::min(v[2]->size(), v[3]->size()));
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t k = 0; k < common; ++k) {
+      for (size_t j = 0; j < 4; ++j) {
+        s[j] += static_cast<double>(weights_[v[j]->indices()[k]]) *
+                v[j]->values()[k];
       }
-      min_n = std::min(min_n, lane_arm[j]->size());
     }
-    if (!all_present) {
-      for (size_t j = 0; j < kLanes; ++j) {
-        const SparseVector* a = arms[block + j].get();
-        scores[block + j] = a != nullptr ? Score(*a) : 0.0;
-      }
-      continue;
-    }
-    // Gather the common prefix (up to the shortest arm) of each lane's
-    // weights into a contiguous row; the kernel transposes on load, so the
-    // values go in as the arms' own columns with zero copying.
-    if (gathered_weights.size() < min_n * kLanes) {
-      gathered_weights.resize(min_n * kLanes);
-    }
-    const double* v_rows[kLanes];
-    const double* w_rows[kLanes];
-    for (size_t j = 0; j < kLanes; ++j) {
-      const std::vector<uint32_t>& idx = lane_arm[j]->indices();
-      double* row = gathered_weights.data() + j * min_n;
-      for (size_t i = 0; i < min_n; ++i) {
-        row[i] = static_cast<double>(weights_[idx[i]]);
-      }
-      v_rows[j] = lane_arm[j]->values().data();
-      w_rows[j] = row;
-    }
-    double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    kt.dot4(v_rows, w_rows, min_n, acc);
-    // Each lane's tail continues the same sequential accumulation, so the
-    // final sum has the exact Score() operation order.
-    for (size_t j = 0; j < kLanes; ++j) {
-      const std::vector<uint32_t>& idx = lane_arm[j]->indices();
-      const std::vector<double>& val = lane_arm[j]->values();
-      double s = acc[j];
-      for (size_t i = min_n; i < idx.size(); ++i) {
-        s += static_cast<double>(weights_[idx[i]]) * val[i];
-      }
-      scores[block + j] = s;
+    for (size_t j = 0; j < 4; ++j) {
+      scores[a + j] = Accumulate(*v[j], common, s[j]);
     }
   }
-  for (; block < arms.size(); ++block) {
-    const SparseVector* a = arms[block].get();
-    scores[block] = a != nullptr ? Score(*a) : 0.0;
-  }
+  for (; a < arms.size(); ++a) scores[a] = Score(arm(a));
   return scores;
 }
 

@@ -45,12 +45,8 @@ class CbModel {
   /// Predicted reward for a combined feature vector.
   double Score(const SparseVector& features) const;
 
-  /// Predicted rewards for every arm of a rank request at once. Arms are
-  /// processed in lane blocks of four: the weight gathers for four arms are
-  /// packed column-major and swept by the dispatched dot4 kernel up to the
-  /// shortest arm, then each lane finishes its tail scalar — continuing the
-  /// same sequential accumulation — so every returned score is bit-identical
-  /// to calling Score() on that arm alone. Null arms score 0.0.
+  /// Predicted rewards for every arm of a rank request, in arm order. Each
+  /// score is bit-identical to Score() on that arm; null arms score 0.0.
   std::vector<double> ScoreBatch(
       const std::vector<std::shared_ptr<const SparseVector>>& arms) const;
 
@@ -66,6 +62,11 @@ class CbModel {
   const CbModelConfig& config() const { return config_; }
 
  private:
+  /// `sum` plus the weighted entries of `features` from `begin` on, added
+  /// one at a time in index order (the order Score() fixes).
+  double Accumulate(const SparseVector& features, size_t begin,
+                    double sum) const;
+
   CbModelConfig config_;
   std::vector<float> weights_;
   size_t updates_ = 0;

@@ -50,7 +50,7 @@ double SortAndCoalesce(std::vector<std::pair<uint32_t, double>>* entries) {
 ///
 /// A second-level summary bitmap (one bit per first-level word, 64 words
 /// total — a single cache line) lets Emit find the hot words without
-/// scanning the whole 32 KiB bitmap: the kernel collect runs over the
+/// scanning the whole 32 KiB bitmap: CollectNonzeroWords runs over the
 /// summary, and only words with live bits are visited.
 class CombineArena {
  public:
@@ -80,18 +80,15 @@ class CombineArena {
   /// Drains the arena into canonical SoA columns. `size_hint` is the raw
   /// insert count (an upper bound on distinct indices).
   SparseVector Emit(size_t size_hint) {
-    const kernels::KernelTable& kt = kernels::Active();
     std::vector<uint32_t> indices;
     std::vector<double> values;
     indices.reserve(size_hint);
     values.reserve(size_hint);
     double norm_sq = 0.0;
-    // One bulk kernel call over the summary line finds every region with a
-    // hot word — the drain loop then touches only live first-level words
-    // and never goes back through the dispatch pointer.
-    const size_t hot = kt.collect_nonzero_words(summary_.data(), 0,
-                                                kSummaryWords,
-                                                hot_summary_.data());
+    // One scan over the summary line finds every region with a hot word;
+    // the drain loop then touches only live first-level words.
+    const size_t hot = kernels::CollectNonzeroWords(
+        summary_.data(), 0, kSummaryWords, hot_summary_.data());
     for (size_t k = 0; k < hot; ++k) {
       const size_t s = hot_summary_[k];
       uint64_t sword = summary_[s];
@@ -120,11 +117,9 @@ class CombineArena {
   /// Emit() variant draining into a sorted-coalesced pair vector, for the
   /// FeatureVector canonicalization path (which keeps the pair layout).
   void EmitPairs(std::vector<std::pair<uint32_t, double>>* out) {
-    const kernels::KernelTable& kt = kernels::Active();
     out->clear();
-    const size_t hot = kt.collect_nonzero_words(summary_.data(), 0,
-                                                kSummaryWords,
-                                                hot_summary_.data());
+    const size_t hot = kernels::CollectNonzeroWords(
+        summary_.data(), 0, kSummaryWords, hot_summary_.data());
     for (size_t k = 0; k < hot; ++k) {
       const size_t s = hot_summary_[k];
       uint64_t sword = summary_[s];

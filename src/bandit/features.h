@@ -28,13 +28,11 @@ namespace qo::bandit {
 /// a linear sweep over the columns touches each model weight exactly once,
 /// so per-example L2 decay applies once per weight (not once per colliding
 /// occurrence) and `norm_sq()` counts a collided feature once at its summed
-/// value. The split columns are also what the vectorized scoring path
-/// consumes: `CbModel::ScoreBatch` packs the dense value column of four
-/// arms into lane-major blocks without touching index/value interleaving
-/// or the 4-byte padding a pair layout carries. Immutable after
-/// construction and shared by value or via `shared_ptr` between the
-/// Personalizer's event log, the trainer and the Recommender's per-job
-/// combined-feature cache.
+/// value. The split columns also keep `CbModel::Score` a sweep over two
+/// dense arrays, with none of the 4-byte padding a pair layout carries.
+/// Immutable after construction and shared by value or via `shared_ptr`
+/// between the Personalizer's event log, the trainer and the Recommender's
+/// per-job combined-feature cache.
 class SparseVector {
  public:
   SparseVector() = default;

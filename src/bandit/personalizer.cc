@@ -128,11 +128,10 @@ size_t PersonalizerService::BestAction(const CbModel& model,
                                        const LoggedEvent& ev,
                                        Rng* rng) const {
   constexpr double kTieTolerance = 1e-9;
-  // Score every arm in one vectorized batch, then replay the selection
-  // loop over the precomputed scores. The replay draws from `rng` exactly
-  // when the sequential loop would have (draws depend only on score
-  // comparisons, and batch scores are bit-identical to Score()), so the
-  // RNG stream is unchanged.
+  // Score every arm first, then run the selection loop over the scores.
+  // Batch scores are bit-identical to Score() and the loop draws from `rng`
+  // only on score comparisons, so scoring ahead leaves the RNG stream
+  // unchanged.
   const std::vector<double> scores = model.ScoreBatch(ev.action_features);
   size_t best = 0;
   double best_score = -1e300;

@@ -1,30 +1,10 @@
-// The vectorized kernel layer of the data plane.
+// Shared helpers of the data plane.
 //
-// Every hot inner loop that was transposed to structure-of-arrays (batched
-// A/A execution, multi-arm bandit scoring, arena-built feature combination,
-// SoA stats capping) runs through one of the kernels below. Each kernel has
-// two implementations with *bit-identical* per-lane semantics:
-//
-//  - kernels_scalar.cc: plain C++, compiled at the tree's base ISA. This is
-//    the reference implementation; its FP operations are written in exactly
-//    the per-lane order the legacy (pre-SoA) code used.
-//  - kernels_avx2.cc: AVX2 intrinsics, compiled in its own TU with -mavx2.
-//    Only per-lane vector ops are used (mulpd/addpd/maxpd/minpd and masked
-//    compares) — no FMA contractions and no horizontal reductions, because
-//    both change IEEE rounding versus the scalar order. A vector lane
-//    therefore computes the same bit pattern the scalar kernel computes for
-//    that lane.
-//
-// Dispatch is chosen once at startup: QO_SIMD=0 forces the scalar table,
-// otherwise the AVX2 table is used when the CPU supports it (runtime
-// __builtin_cpu_supports check, so one binary serves old and new machines).
-// All 17 figure benches are byte-identical across the two tables at any
-// thread count — CI diffs fig10/fig11 with QO_SIMD on/off to prove it.
-//
-// Adding a kernel: add a function pointer here, implement it in BOTH
-// kernels_scalar.cc and kernels_avx2.cc with identical per-lane FP order,
-// and cover it in tests/kernels_test.cc (scalar vs AVX2 bit-equivalence on
-// edge lanes and tails).
+// The data plane (A/A execution, bandit scoring, feature combination, NDV
+// capping) is plain scalar C++ with one implementation per operation and no
+// runtime dispatch. What lives here is the one bit-scan loop that is its own
+// unit: the combine arena's sparse-emit scan, golden-tested in
+// tests/kernels_test.cc.
 #ifndef QO_COMMON_KERNELS_KERNELS_H_
 #define QO_COMMON_KERNELS_KERNELS_H_
 
@@ -33,81 +13,27 @@
 
 namespace qo::kernels {
 
-/// Lane width of every column-major SoA block. Four doubles = one 256-bit
-/// AVX2 register; the scalar table processes the same blocks lane by lane.
-inline constexpr size_t kLanes = 4;
+/// Writes the indices of every nonzero word in [begin, end) to `out` in
+/// ascending order and returns how many were written. `out` must hold at
+/// least end - begin entries. One call over the combine arena's summary
+/// bitmap finds every region with a live word.
+inline size_t CollectNonzeroWords(const uint64_t* words, size_t begin,
+                                  size_t end, uint32_t* out) {
+  size_t n = 0;
+  for (size_t w = begin; w < end; ++w) {
+    if (words[w] != 0) out[n++] = static_cast<uint32_t>(w);
+  }
+  return n;
+}
 
-/// One dispatchable kernel set. All pointers are always non-null.
-struct KernelTable {
-  /// Human-readable table name ("scalar" / "avx2") for diagnostics.
+/// Names the data-plane implementation for run reports. There is only one
+/// ("scalar"); the descriptor remains because the repository benchmark
+/// prints it in its run context.
+struct Implementation {
   const char* name;
-
-  /// Lockstep 4-lane dot-product accumulate over per-lane rows:
-  ///   acc[j] += sum_i v[j][i] * w[j][i]   (j = 0..3)
-  /// `v` and `w` each point at four row pointers; every row has `columns`
-  /// entries. Row-major operands mean callers never pack an interleaved
-  /// block — an arm's contiguous value column is passed as-is and the
-  /// weight gather writes lane-contiguous rows. The AVX2 implementation
-  /// transposes 4x4 blocks in registers on load and accumulates one column
-  /// at a time with vertical ops only, so each lane's additions stay
-  /// strictly sequential in i — the exact accumulation order of a scalar
-  /// per-arm dot product — and lane j's result is bit-identical to scoring
-  /// arm j alone.
-  void (*dot4)(const double* const* v, const double* const* w, size_t columns,
-               double* acc);
-
-  /// 4-lane critical-path walk over a prepared stage DAG. Stages are
-  /// visited in `topo` order; upstream edges come from the CSR arrays
-  /// (up_offsets has num_stages + 1 entries indexing into up_list). For
-  /// each lane j:
-  ///   finish[s][j] = max over upstream u of finish[u][j]
-  ///                  + (startup + (waves[s] * noise[s][j]) * tail[s])
-  ///   critical[j]  = max over s (in stage-index order) of finish[s][j]
-  /// `noise` and `finish` are stage-major kLanes-wide blocks. The FP
-  /// association (waves*noise first, then *tail, then +startup, then
-  /// +ready) replicates the legacy per-seed walk exactly.
-  void (*critical_path4)(size_t num_stages, const int32_t* topo,
-                         const int32_t* up_offsets, const int32_t* up_list,
-                         const double* waves, const double* tail,
-                         double startup, const double* noise, double* finish,
-                         double* critical);
-
-  /// In-place x[i] = max(lo, min(x[i], hi)). Mirrors the stats layer's
-  /// NDV cap (CapNdv). Inputs must be NaN-free (NDVs and row counts are).
-  void (*clamp_range)(double* x, size_t n, double lo, double hi);
-
-  /// Writes the indices of every nonzero word in [begin, end) to `out` in
-  /// ascending order and returns how many were written. `out` must hold at
-  /// least end - begin entries. One bulk call per drain replaces a
-  /// per-word probe through the dispatch pointer — the sparse-emit scan of
-  /// the combine arena. The AVX2 table tests four 64-bit words (256 dense
-  /// slots) per compare.
-  size_t (*collect_nonzero_words)(const uint64_t* words, size_t begin,
-                                  size_t end, uint32_t* out);
 };
 
-/// The scalar reference table. Always available.
-const KernelTable& ScalarTable();
-
-/// The AVX2 table. Only valid to call when Avx2Compiled() — the returned
-/// reference is the scalar table on builds without AVX2 support.
-const KernelTable& Avx2Table();
-
-/// True when the AVX2 TU was compiled into this binary.
-bool Avx2Compiled();
-
-/// The active table, chosen once at startup: scalar when QO_SIMD=0 or when
-/// the CPU lacks AVX2, the AVX2 table otherwise. Stable for the process
-/// lifetime (modulo the test hook below).
-const KernelTable& Active();
-
-/// True when Active() is a SIMD table.
-bool SimdActive();
-
-/// Test hook: override the active table (nullptr restores the startup
-/// choice). Tests use this to run both dispatch states in one binary; never
-/// call it from production code.
-void SetActiveTableForTest(const KernelTable* table);
+inline Implementation Active() { return {"scalar"}; }
 
 }  // namespace qo::kernels
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "common/kernels/kernels.h"
 #include "obs/metrics.h"
 
 namespace qo::exec {
@@ -336,34 +335,11 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
     p.stages.push_back(std::move(sp));
   }
 
-  // SoA transpose of the per-stage columns + CSR upstream adjacency: the
-  // operands of the batched ExecuteRuns sweep.
-  const size_t n_stages = p.stages.size();
-  p.stage_cpu_sec.reserve(n_stages);
-  p.stage_io_sec.reserve(n_stages);
-  p.stage_waves_sec.reserve(n_stages);
-  p.stage_tail.reserve(n_stages);
-  p.stage_memory.reserve(n_stages);
-  p.stage_partitions.reserve(n_stages);
-  p.upstream_offsets.reserve(n_stages + 1);
-  p.upstream_offsets.push_back(0);
-  for (const StageProfile& sp : p.stages) {
-    p.stage_cpu_sec.push_back(sp.cpu_sec);
-    p.stage_io_sec.push_back(sp.io_sec);
-    p.stage_waves_sec.push_back(sp.waves_per_vertex_sec);
-    p.stage_tail.push_back(sp.tail_inflation);
-    p.stage_memory.push_back(sp.memory_bytes_per_vertex);
-    p.stage_partitions.push_back(sp.partitions);
-    for (int up : sp.upstream) p.upstream_list.push_back(up);
-    p.upstream_offsets.push_back(
-        static_cast<int32_t>(p.upstream_list.size()));
-  }
-
   // Topological evaluation order matching the legacy memoized recursion
   // (iterative DFS, roots visited in index order, upstream in vector order).
-  // Cycles cannot arise from exchange boundaries alone but are conceivable
-  // for shared-subtree DAGs; detect them so Execute can keep the legacy
-  // recursion's exact cycle-breaking semantics.
+  // Cycles cannot arise from exchange boundaries alone but do arise for
+  // shared-subtree DAGs (see ExecutionProfile::has_cycle); detect them so
+  // Execute can keep the legacy recursion's exact cycle-breaking semantics.
   enum : uint8_t { kUnvisited = 0, kOnStack = 1, kDone = 2 };
   std::vector<uint8_t> state(p.stages.size(), kUnvisited);
   std::vector<std::pair<int, size_t>> dfs;  // (stage, next upstream position)
@@ -390,7 +366,6 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
       }
     }
   }
-  p.topo32.assign(p.topo_order.begin(), p.topo_order.end());
   return p;
 }
 
@@ -418,87 +393,7 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
   if (runs <= 0) return out;
   Counters().prepared_runs.Add(static_cast<uint64_t>(runs));
   out.reserve(static_cast<size_t>(runs));
-  if (profile.has_cycle) {
-    // The cyclic fallback keeps the legacy memoized recursion per seed.
-    for (int i = 0; i < runs; ++i) {
-      out.push_back(
-          ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
-    }
-    return out;
-  }
-
-  using kernels::kLanes;
-  const kernels::KernelTable& kt = kernels::Active();
-  const size_t n_stages = profile.stages.size();
-  const ExecutionProfile& p = profile;
-  // Stage-major lane blocks: noise[s * kLanes + j] is lane j's (seed i + j)
-  // multiplicative noise for stage s. Reused across blocks.
-  std::vector<double> noise(n_stages * kLanes);
-  std::vector<double> finish(n_stages * kLanes);
-  int i = 0;
-  for (; i + static_cast<int>(kLanes) <= runs;
-       i += static_cast<int>(kLanes)) {
-    double job_scale[kLanes];
-    double overhead[kLanes];
-    double critical[kLanes];
-    for (size_t j = 0; j < kLanes; ++j) {
-      // Draw phase, per lane, in the exact legacy draw order: PNhours
-      // noise, per-stage retries, per-stage latency noise, job congestion,
-      // job overhead, per-stage memory. Only the DAG walk (which draws
-      // nothing) leaves the lane for the vectorized sweep below.
-      Rng rng(base_seed + static_cast<uint64_t>(i) + j);
-      JobMetrics m;
-      m.data_read_bytes = p.data_read_bytes;
-      m.data_written_bytes = p.data_written_bytes;
-      m.vertices = p.vertices;
-      double cpu_noisy =
-          p.total_cpu_sec * rng.LogNormal(0.0, config_.pn_cpu_sigma);
-      double io_noisy =
-          p.total_io_sec * rng.LogNormal(0.0, config_.pn_io_sigma);
-      for (size_t s = 0; s < n_stages; ++s) {
-        if (rng.Bernoulli(config_.retry_prob)) {
-          double extra = config_.retry_fraction * rng.Uniform();
-          cpu_noisy += p.stage_cpu_sec[s] * extra;
-          io_noisy += p.stage_io_sec[s] * extra;
-        }
-      }
-      m.cpu_hours = cpu_noisy / 3600.0;
-      m.io_hours = io_noisy / 3600.0;
-      m.pn_hours = m.cpu_hours + m.io_hours;
-      for (size_t s = 0; s < n_stages; ++s) {
-        double congestion =
-            rng.LogNormal(0.0, config_.stage_congestion_sigma);
-        double straggler = 1.0;
-        if (rng.Bernoulli(config_.straggler_prob)) {
-          straggler = std::min(rng.Pareto(1.0, config_.straggler_alpha),
-                               config_.straggler_cap);
-        }
-        noise[s * kLanes + j] = congestion * straggler;
-      }
-      job_scale[j] = rng.LogNormal(0.0, config_.job_congestion_sigma);
-      overhead[j] = config_.job_overhead_sec * rng.LogNormal(0.0, 0.15);
-      double max_mem = 0.0, sum_mem = 0.0;
-      for (size_t s = 0; s < n_stages; ++s) {
-        double mem = p.stage_memory[s] * rng.LogNormal(0.0, 0.05);
-        max_mem = std::max(max_mem, mem);
-        sum_mem += mem;
-      }
-      m.max_memory_bytes = max_mem;
-      m.avg_memory_bytes =
-          n_stages == 0 ? 0.0 : sum_mem / static_cast<double>(n_stages);
-      out.push_back(m);
-    }
-    // All four lanes' critical paths in one kernel sweep.
-    kt.critical_path4(n_stages, p.topo32.data(), p.upstream_offsets.data(),
-                      p.upstream_list.data(), p.stage_waves_sec.data(),
-                      p.stage_tail.data(), config_.stage_startup_sec,
-                      noise.data(), finish.data(), critical);
-    for (size_t j = 0; j < kLanes; ++j) {
-      out[static_cast<size_t>(i) + j].latency_sec =
-          overhead[j] + critical[j] * job_scale[j];
-    }
-  }
-  for (; i < runs; ++i) {
+  for (int i = 0; i < runs; ++i) {
     out.push_back(
         ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
   }

@@ -122,27 +122,11 @@ struct ExecutionProfile {
   /// in one linear walk). Empty only when `stages` is empty.
   std::vector<int> topo_order;
 
-  // --- SoA mirror of `stages`, in stage-index order (built by Prepare). ---
-  // The batched ExecuteRuns sweep reads only these parallel columns: the
-  // per-seed draw loops stream each column contiguously instead of striding
-  // across StageProfile records, and the columns are the direct operands of
-  // the 4-lane critical-path kernel (see common/kernels/kernels.h).
-  std::vector<double> stage_cpu_sec;      ///< = stages[i].cpu_sec
-  std::vector<double> stage_io_sec;       ///< = stages[i].io_sec
-  std::vector<double> stage_waves_sec;    ///< = stages[i].waves_per_vertex_sec
-  std::vector<double> stage_tail;         ///< = stages[i].tail_inflation
-  std::vector<double> stage_memory;       ///< = stages[i].memory_bytes_per_vertex
-  std::vector<int32_t> stage_partitions;  ///< = stages[i].partitions
-  /// topo_order as a dense int32 kernel operand.
-  std::vector<int32_t> topo32;
-  /// Upstream adjacency in CSR form: stage s waits on
-  /// upstream_list[upstream_offsets[s] .. upstream_offsets[s + 1]).
-  std::vector<int32_t> upstream_offsets;
-  std::vector<int32_t> upstream_list;
-
-  /// Defensive: the stage graph of a shared-subtree DAG could in principle
-  /// contain a cycle; Execute then falls back to the legacy memoized
-  /// recursion so metrics stay byte-identical with the unprepared path.
+  /// The stage graph of a shared-subtree DAG can contain a cycle: a scan
+  /// read by a join both directly and through an exchange puts the join's
+  /// stage and the exchange's producer stage upstream of each other.
+  /// Execute then uses the legacy memoized recursion, whose cycle-breaking
+  /// semantics fix the metrics (exec_test pins this case).
   bool has_cycle = false;
   double total_cpu_sec = 0.0;
   double total_io_sec = 0.0;
@@ -206,12 +190,9 @@ class ClusterSimulator {
   /// one profile may be executed from many threads concurrently.
   JobMetrics Execute(const ExecutionProfile& profile, uint64_t run_seed) const;
 
-  /// Batched A/A runs: Execute(profile, base_seed + i) for i in [0, runs).
-  /// Seeds are processed in lane blocks of four: each lane performs its
-  /// stochastic draws sequentially in the exact legacy order, then one
-  /// vectorized critical-path sweep resolves all four lanes' stage DAG walks
-  /// at once. Every JobMetrics is bit-identical to Execute(profile, seed)
-  /// for that seed (asserted by exec_test across dispatch tables).
+  /// Batched A/A runs: Execute(profile, base_seed + i) for i in [0, runs),
+  /// one seed after another, counted as `runs` prepared runs. Every
+  /// JobMetrics is bit-identical to Execute(profile, seed) for that seed.
   std::vector<JobMetrics> ExecuteRuns(const ExecutionProfile& profile,
                                       uint64_t base_seed, int runs) const;
 

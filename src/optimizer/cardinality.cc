@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/kernels/kernels.h"
-
 namespace qo::opt {
 
 namespace {
@@ -13,11 +11,10 @@ double CapNdv(double ndv, double rows) {
   return std::max(1.0, std::min(ndv, rows));
 }
 
-/// Bulk CapNdv over a whole NDV column: x = max(1.0, min(x, rows)) per
-/// entry, through the dispatched clamp kernel. NDVs and row counts are
-/// finite by construction (the kernel's NaN-free precondition).
+/// CapNdv over a whole NDV column, in place.
 void CapNdvAll(NdvMap* ndv, double rows) {
-  kernels::Active().clamp_range(ndv->MutableValues(), ndv->size(), 1.0, rows);
+  double* values = ndv->MutableValues();
+  for (size_t i = 0; i < ndv->size(); ++i) values[i] = CapNdv(values[i], rows);
 }
 
 }  // namespace

@@ -39,13 +39,12 @@ enum class StatsMode {
 /// column and a parallel value column. Relations carry a handful of
 /// columns, so binary-searched vectors beat hash tables on both probes and
 /// — the hot part — the whole-map copies stats derivation does for every
-/// memo group. The split layout additionally hands the dense value column
-/// straight to the bulk NDV-cap kernel (kernels::KernelTable::clamp_range)
-/// and lets Join/UnionAll run sorted two-pointer merges over the key
-/// columns instead of per-key binary-search inserts. Every derivation
-/// writes each key's value independently (no cross-entry accumulation), so
-/// the change of iteration order relative to the hash map this replaced
-/// cannot change any output.
+/// memo group. The split layout additionally lets the NDV cap sweep the
+/// dense value column in place and lets Join/UnionAll run sorted
+/// two-pointer merges over the key columns instead of per-key
+/// binary-search inserts. Every derivation writes each key's value
+/// independently (no cross-entry accumulation), so the change of iteration
+/// order relative to the hash map this replaced cannot change any output.
 class NdvMap {
  public:
   /// Sorted symbol column.
@@ -84,8 +83,8 @@ class NdvMap {
     values_.push_back(value);
   }
 
-  /// Raw value column for in-place bulk kernels (the NDV cap). The caller
-  /// must not reorder entries.
+  /// Raw value column for in-place updates (the NDV cap). The caller must
+  /// not reorder entries.
   double* MutableValues() { return values_.data(); }
 
  private:

@@ -13,11 +13,11 @@
 //   QO_GUARD + QO_FAULT_*      -> guard.{enabled,faults}
 //   QO_SERVICE_RETRAIN_MS      -> retrain_period_ms
 //
-// The observability and dispatch knobs are not part of it: each has one
-// process-wide reader, cached on first use — QO_METRICS
-// (obs::MetricsEnabled), QO_OBS_REPORT (obs::RunReportWriter::FromEnv),
-// QO_OBS_LABEL (obs::ObsLabelFromEnv), QO_TRACE / QO_OBS_SAMPLE (obs/trace.h,
-// obs/span.h) and QO_SIMD (the kernel dispatch table).
+// The observability knobs are not part of it: each has one process-wide
+// reader, cached on first use — QO_METRICS (obs::MetricsEnabled),
+// QO_OBS_REPORT (obs::RunReportWriter::FromEnv), QO_OBS_LABEL
+// (obs::ObsLabelFromEnv) and QO_TRACE / QO_OBS_SAMPLE (obs/trace.h,
+// obs/span.h).
 #ifndef QO_SERVICE_ADVISOR_OPTIONS_H_
 #define QO_SERVICE_ADVISOR_OPTIONS_H_
 

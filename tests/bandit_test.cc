@@ -4,12 +4,12 @@
 // retention), and offline (IPS) evaluation.
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <utility>
 
 #include "bandit/cb_model.h"
 #include "bandit/features.h"
 #include "bandit/personalizer.h"
 
-#include "common/kernels/kernels.h"
 #include "obs/metrics.h"
 #include "optimizer/rules.h"
 
@@ -206,12 +206,13 @@ TEST(CbModelTest, DuplicateIndexDecaysWeightOncePerExample) {
   EXPECT_NEAR(model.Score(*single), 0.2, 1e-6);
 }
 
-TEST(CbModelTest, ScoreBatchBitIdenticalToPerArmScoreAcrossTables) {
-  // Train a model so the weights are non-trivial, then score a batch whose
-  // shape exercises every ScoreBatch path: a full block of four, a
-  // remainder block, arms of different lengths (per-lane tails), an empty
-  // arm, and a null arm. Each arm's batch score must equal its individual
-  // Score() bit for bit under both kernel tables.
+TEST(CbModelTest, ScoreBatchBitIdenticalToPerArmScore) {
+  // Train a model so the weights are non-trivial, then score batches whose
+  // shapes exercise every ScoreBatch path: full blocks of four, a
+  // remainder block, arms of different lengths (per-arm tails), an empty
+  // arm, and a null arm — in the remainder, and moved into a full block.
+  // Each arm's batch score must equal its individual Score() bit for bit,
+  // and the null arm scores 0.0.
   CbModel model({.learning_rate = 0.2, .epochs = 30});
   FeatureVector shared;
   shared.AddNamed("bias", 1.0);
@@ -231,22 +232,23 @@ TEST(CbModelTest, ScoreBatchBitIdenticalToPerArmScoreAcrossTables) {
   }
   arms.push_back(std::make_shared<const SparseVector>());  // empty arm
   arms.push_back(nullptr);                                 // null arm
-  ASSERT_EQ(arms.size() % kernels::kLanes, 3u);  // remainder block exists
+  ASSERT_EQ(arms.size() % 4, 3u);  // remainder block exists
 
-  std::vector<std::vector<double>> per_table;
-  for (const kernels::KernelTable* kt :
-       {&kernels::ScalarTable(), &kernels::Avx2Table()}) {
-    kernels::SetActiveTableForTest(kt);
-    std::vector<double> batch = model.ScoreBatch(arms);
-    ASSERT_EQ(batch.size(), arms.size());
-    for (size_t i = 0; i < arms.size(); ++i) {
-      const double single = arms[i] ? model.Score(*arms[i]) : 0.0;
-      EXPECT_EQ(batch[i], single) << kt->name << " arm=" << i;
+  // The empty arm moved into the second full block; the null arm moved
+  // into the first.
+  auto empty_in_block = arms;
+  std::swap(empty_in_block[5], empty_in_block[9]);
+  auto null_in_block = arms;
+  std::swap(null_in_block[1], null_in_block[10]);
+  for (const auto* batch_arms : {&arms, &empty_in_block, &null_in_block}) {
+    std::vector<double> batch = model.ScoreBatch(*batch_arms);
+    ASSERT_EQ(batch.size(), batch_arms->size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto& arm = (*batch_arms)[i];
+      EXPECT_EQ(batch[i], arm ? model.Score(*arm) : 0.0) << "arm=" << i;
     }
-    per_table.push_back(std::move(batch));
   }
-  kernels::SetActiveTableForTest(nullptr);
-  EXPECT_EQ(per_table[0], per_table[1]);
+  EXPECT_TRUE(model.ScoreBatch({}).empty());
 }
 
 std::vector<RankableAction> ThreeActions() {
@@ -436,46 +438,6 @@ TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
   }
   EXPECT_EQ(incremental.examples_trained, 120.0);
   EXPECT_EQ(incremental.examples_trained, full.examples_trained);
-}
-
-TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
-  // The full rank -> reward -> retrain loop replayed once per kernel table
-  // (the QO_SIMD on/off states in one binary): choices, propensities, and
-  // the learned model must be bit-identical — ScoreBatch feeds the softmax
-  // tie-break RNG, so a single ulp of drift would change a choice.
-  const std::vector<const kernels::KernelTable*> tables = {
-      &kernels::ScalarTable(), &kernels::Avx2Table()};
-  std::vector<std::vector<int>> choices(tables.size());
-  std::vector<std::vector<double>> probabilities(tables.size());
-  std::vector<std::vector<double>> final_scores(tables.size());
-  FeatureVector context = SmallContext();
-  std::vector<RankableAction> actions = ThreeActions();
-  for (size_t t = 0; t < tables.size(); ++t) {
-    kernels::SetActiveTableForTest(tables[t]);
-    PersonalizerService service({.seed = 17, .retrain_interval = 25});
-    for (int i = 0; i < 100; ++i) {
-      RankRequest req;
-      req.event_id = "e";
-      req.event_id += std::to_string(i);
-      req.context = context;
-      req.actions = actions;
-      auto r = service.Rank(req);
-      ASSERT_TRUE(r.ok());
-      choices[t].push_back(r->chosen_index);
-      probabilities[t].push_back(r->probability);
-      double reward = r->chosen_index == 1 ? 2.0 : 0.5;
-      ASSERT_TRUE(service.Reward(r->event_id, reward).ok());
-    }
-    service.Retrain();
-    for (const auto& action : actions) {
-      final_scores[t].push_back(
-          service.model().Score(CombineFeatures(context, action.features)));
-    }
-  }
-  kernels::SetActiveTableForTest(nullptr);
-  EXPECT_EQ(choices[0], choices[1]);
-  EXPECT_EQ(probabilities[0], probabilities[1]);
-  EXPECT_EQ(final_scores[0], final_scores[1]);
 }
 
 TEST(PersonalizerTest, RetentionBoundsResidentEvents) {

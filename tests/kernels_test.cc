@@ -1,242 +1,16 @@
-// Kernel-layer golden tests: every kernel's AVX2 implementation must be
-// bit-identical to the scalar reference on full lanes, edge lanes, and
-// scalar tails, and both must match a naive per-lane reference. The suite
-// also covers the dispatch table (startup choice, QO_SIMD semantics via the
-// test override, SimdActive reporting).
+// Golden tests for the combine arena's sparse-emit scan
+// (kernels::CollectNonzeroWords): every hot-word placement, unaligned begin
+// cursors, dense and mixed patterns, and empty ranges, each checked against a
+// naive single-pass reference.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/kernels/kernels.h"
 
 namespace qo::kernels {
 namespace {
-
-/// True when the AVX2 table is actually runnable here (compiled in AND the
-/// CPU supports it). Bit-equivalence tests skip otherwise — the fallback
-/// AVX2 table aliases the scalar table, which would make them vacuous.
-bool Avx2Runnable() {
-#if defined(__x86_64__) || defined(__i386__)
-  return Avx2Compiled() && __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-/// Deterministic value stream with varied magnitudes and signs (including
-/// values near the rounding-sensitive end of the mantissa) so a single
-/// reassociated add or contracted FMA flips at least one result bit.
-class ValueStream {
- public:
-  explicit ValueStream(uint64_t seed) : state_(seed) {}
-  double Next() {
-    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    const uint64_t bits = state_ >> 11;
-    // Map into [-8, 8) with a long fraction tail.
-    return static_cast<double>(static_cast<int64_t>(bits % 16000000) -
-                               8000000) /
-           1.0e6 * (1.0 + 1.0e-13 * static_cast<double>(bits % 97));
-  }
-
- private:
-  uint64_t state_;
-};
-
-/// Four per-lane rows of `columns` entries each, plus the pointer array the
-/// row-major dot4 kernel consumes.
-struct LaneRows {
-  std::vector<double> storage[kLanes];
-  const double* ptrs[kLanes];
-
-  LaneRows(size_t columns, uint64_t seed) {
-    ValueStream vs(seed);
-    for (size_t j = 0; j < kLanes; ++j) {
-      storage[j].resize(columns);
-      for (double& x : storage[j]) x = vs.Next();
-      ptrs[j] = storage[j].data();
-    }
-  }
-};
-
-// --- dot4 -------------------------------------------------------------------
-
-/// Per-lane sequential accumulation — the legacy scalar dot-product order.
-void Dot4Reference(const double* const* v, const double* const* w,
-                   size_t columns, double* acc) {
-  for (size_t j = 0; j < kLanes; ++j) {
-    double a = acc[j];
-    for (size_t i = 0; i < columns; ++i) {
-      a += v[j][i] * w[j][i];
-    }
-    acc[j] = a;
-  }
-}
-
-TEST(Dot4Test, ScalarMatchesPerLaneReference) {
-  for (size_t columns : {0u, 1u, 2u, 3u, 7u, 64u, 257u}) {
-    LaneRows v(columns, 11 + columns);
-    LaneRows w(columns, 99 + columns);
-    double expect[kLanes] = {0.5, -1.25, 0.0, 3.0};
-    double got[kLanes] = {0.5, -1.25, 0.0, 3.0};
-    Dot4Reference(v.ptrs, w.ptrs, columns, expect);
-    ScalarTable().dot4(v.ptrs, w.ptrs, columns, got);
-    for (size_t j = 0; j < kLanes; ++j) {
-      EXPECT_EQ(expect[j], got[j]) << "columns=" << columns << " lane=" << j;
-    }
-  }
-}
-
-TEST(Dot4Test, Avx2BitIdenticalToScalar) {
-  if (!Avx2Runnable()) GTEST_SKIP() << "AVX2 not runnable on this host";
-  // Lengths cover the empty case, the pure set_pd tail (< 4), exact 4x4
-  // transpose blocks, and block-plus-tail mixes.
-  for (size_t columns : {0u, 1u, 3u, 4u, 17u, 256u, 1023u}) {
-    LaneRows v(columns, 7 * columns + 1);
-    LaneRows w(columns, 13 * columns + 5);
-    double scalar[kLanes] = {0.0, 1.0, -2.0, 1.0e-12};
-    double avx2[kLanes] = {0.0, 1.0, -2.0, 1.0e-12};
-    ScalarTable().dot4(v.ptrs, w.ptrs, columns, scalar);
-    Avx2Table().dot4(v.ptrs, w.ptrs, columns, avx2);
-    EXPECT_EQ(0, std::memcmp(scalar, avx2, sizeof(scalar)))
-        << "columns=" << columns;
-  }
-}
-
-// --- critical_path4 ---------------------------------------------------------
-
-/// A 6-stage diamond-with-join DAG in CSR form:
-///   0 -> {2, 3}, 1 -> {3}, {2, 3} -> 4, 4 -> 5.
-struct TestDag {
-  size_t num_stages = 6;
-  std::vector<int32_t> topo = {0, 1, 2, 3, 4, 5};
-  std::vector<int32_t> up_offsets = {0, 0, 0, 1, 3, 5, 6};
-  std::vector<int32_t> up_list = {0, 0, 1, 2, 3, 4};
-  std::vector<double> waves = {1.5, 0.25, 2.0, 0.75, 1.0, 0.125};
-  std::vector<double> tail = {1.0, 1.5, 1.25, 1.0, 2.0, 1.0};
-};
-
-/// Naive per-lane walk in the exact legacy FP association.
-void CriticalPath4Reference(const TestDag& dag, double startup,
-                            const double* noise, double* finish,
-                            double* critical) {
-  for (size_t j = 0; j < kLanes; ++j) {
-    for (size_t t = 0; t < dag.num_stages; ++t) {
-      const size_t s = static_cast<size_t>(dag.topo[t]);
-      double ready = 0.0;
-      for (int32_t o = dag.up_offsets[s]; o < dag.up_offsets[s + 1]; ++o) {
-        const double fu = finish[static_cast<size_t>(dag.up_list[o]) * kLanes + j];
-        ready = ready > fu ? ready : fu;
-      }
-      finish[s * kLanes + j] =
-          ready + (startup + (dag.waves[s] * noise[s * kLanes + j]) * dag.tail[s]);
-    }
-    double c = 0.0;
-    for (size_t s = 0; s < dag.num_stages; ++s) {
-      const double f = finish[s * kLanes + j];
-      c = c > f ? c : f;
-    }
-    critical[j] = c;
-  }
-}
-
-TEST(CriticalPath4Test, ScalarMatchesPerLaneReference) {
-  TestDag dag;
-  ValueStream vs(42);
-  std::vector<double> noise(dag.num_stages * kLanes);
-  for (double& x : noise) x = 0.5 + std::fabs(vs.Next());
-  std::vector<double> finish_expect(noise.size(), 0.0);
-  std::vector<double> finish_got(noise.size(), 0.0);
-  double critical_expect[kLanes] = {0, 0, 0, 0};
-  double critical_got[kLanes] = {0, 0, 0, 0};
-  CriticalPath4Reference(dag, 0.8, noise.data(), finish_expect.data(),
-                         critical_expect);
-  ScalarTable().critical_path4(dag.num_stages, dag.topo.data(),
-                               dag.up_offsets.data(), dag.up_list.data(),
-                               dag.waves.data(), dag.tail.data(), 0.8,
-                               noise.data(), finish_got.data(), critical_got);
-  for (size_t i = 0; i < finish_expect.size(); ++i) {
-    EXPECT_EQ(finish_expect[i], finish_got[i]) << "slot=" << i;
-  }
-  for (size_t j = 0; j < kLanes; ++j) {
-    EXPECT_EQ(critical_expect[j], critical_got[j]) << "lane=" << j;
-    EXPECT_GT(critical_got[j], 0.0);
-  }
-}
-
-TEST(CriticalPath4Test, Avx2BitIdenticalToScalar) {
-  if (!Avx2Runnable()) GTEST_SKIP() << "AVX2 not runnable on this host";
-  TestDag dag;
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    ValueStream vs(seed);
-    std::vector<double> noise(dag.num_stages * kLanes);
-    for (double& x : noise) x = 0.25 + std::fabs(vs.Next());
-    std::vector<double> finish_scalar(noise.size(), 0.0);
-    std::vector<double> finish_avx2(noise.size(), 0.0);
-    double critical_scalar[kLanes] = {0, 0, 0, 0};
-    double critical_avx2[kLanes] = {0, 0, 0, 0};
-    ScalarTable().critical_path4(
-        dag.num_stages, dag.topo.data(), dag.up_offsets.data(),
-        dag.up_list.data(), dag.waves.data(), dag.tail.data(), 0.8,
-        noise.data(), finish_scalar.data(), critical_scalar);
-    Avx2Table().critical_path4(
-        dag.num_stages, dag.topo.data(), dag.up_offsets.data(),
-        dag.up_list.data(), dag.waves.data(), dag.tail.data(), 0.8,
-        noise.data(), finish_avx2.data(), critical_avx2);
-    for (size_t i = 0; i < finish_scalar.size(); ++i) {
-      EXPECT_EQ(finish_scalar[i], finish_avx2[i])
-          << "seed=" << seed << " slot=" << i;
-    }
-    EXPECT_EQ(0, std::memcmp(critical_scalar, critical_avx2,
-                             sizeof(critical_scalar)))
-        << "seed=" << seed;
-  }
-}
-
-TEST(CriticalPath4Test, EmptyDagLeavesCriticalAtZero) {
-  double critical[kLanes] = {0, 0, 0, 0};
-  const int32_t offsets[1] = {0};
-  for (const KernelTable* kt : {&ScalarTable(), &Avx2Table()}) {
-    kt->critical_path4(0, nullptr, offsets, nullptr, nullptr, nullptr, 0.8,
-                       nullptr, nullptr, critical);
-    for (size_t j = 0; j < kLanes; ++j) EXPECT_EQ(critical[j], 0.0);
-  }
-}
-
-// --- clamp_range ------------------------------------------------------------
-
-TEST(ClampRangeTest, MatchesStdClampOnEdgesAndTails) {
-  // Lengths straddle the 4-wide vector body plus every tail length.
-  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 33u}) {
-    std::vector<double> base(n);
-    ValueStream vs(1000 + n);
-    for (size_t i = 0; i < n; ++i) {
-      // Mix interior values with exact-boundary hits.
-      base[i] = (i % 5 == 0) ? 1.0 : (i % 5 == 1) ? 64.0 : vs.Next() * 40.0;
-    }
-    std::vector<double> expect = base;
-    for (double& x : expect) x = std::max(1.0, std::min(x, 64.0));
-    std::vector<double> scalar = base;
-    ScalarTable().clamp_range(scalar.data(), n, 1.0, 64.0);
-    EXPECT_EQ(expect, scalar) << "n=" << n;
-    if (Avx2Runnable()) {
-      std::vector<double> avx2 = base;
-      Avx2Table().clamp_range(avx2.data(), n, 1.0, 64.0);
-      EXPECT_EQ(scalar, avx2) << "n=" << n;
-    }
-  }
-}
-
-TEST(ClampRangeTest, DegenerateRangeCollapsesToBound) {
-  // lo == hi: every element must land exactly on the bound.
-  std::vector<double> xs = {-3.0, 2.0, 7.0, 2.0, 100.0};
-  ScalarTable().clamp_range(xs.data(), xs.size(), 2.0, 2.0);
-  for (double x : xs) EXPECT_EQ(x, 2.0);
-}
-
-// --- collect_nonzero_words --------------------------------------------------
 
 /// Straightforward single-pass reference collector.
 std::vector<uint32_t> CollectReference(const std::vector<uint64_t>& words,
@@ -249,7 +23,7 @@ std::vector<uint32_t> CollectReference(const std::vector<uint64_t>& words,
 }
 
 TEST(CollectNonzeroWordsTest, MatchesReferenceAcrossBlockBoundaries) {
-  constexpr size_t kWords = 21;  // not a multiple of the 4-word AVX2 block
+  constexpr size_t kWords = 21;  // odd length, unaligned cursors below
   // Every single-hot-word placement, plus unaligned begin cursors.
   for (size_t hot = 0; hot < kWords; ++hot) {
     std::vector<uint64_t> words(kWords, 0);
@@ -257,26 +31,22 @@ TEST(CollectNonzeroWordsTest, MatchesReferenceAcrossBlockBoundaries) {
     for (size_t begin : {size_t{0}, hot, hot + 1, (hot >= 3 ? hot - 3 : 0)}) {
       const std::vector<uint32_t> expect =
           CollectReference(words, begin, kWords);
-      for (const KernelTable* kt : {&ScalarTable(), &Avx2Table()}) {
-        std::vector<uint32_t> got(kWords, 0xffffffffu);
-        const size_t n =
-            kt->collect_nonzero_words(words.data(), begin, kWords, got.data());
-        ASSERT_EQ(n, expect.size())
-            << kt->name << " hot=" << hot << " begin=" << begin;
-        for (size_t k = 0; k < n; ++k) {
-          EXPECT_EQ(got[k], expect[k])
-              << kt->name << " hot=" << hot << " begin=" << begin;
-        }
+      std::vector<uint32_t> got(kWords, 0xffffffffu);
+      const size_t n =
+          CollectNonzeroWords(words.data(), begin, kWords, got.data());
+      ASSERT_EQ(n, expect.size()) << "hot=" << hot << " begin=" << begin;
+      for (size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(got[k], expect[k]) << "hot=" << hot << " begin=" << begin;
       }
     }
   }
 }
 
 TEST(CollectNonzeroWordsTest, DensePatternsAndMixedBlocks) {
-  // Patterns exercise all-hot, alternating, block-straddling and tail-only
-  // hot words across a range that is not a multiple of the AVX2 block.
+  // Patterns exercise all-hot, alternating, every-fourth, tail-only,
+  // head-only and pseudo-random hot words over an odd-length range.
   constexpr size_t kWords = 27;
-  ValueStream vs(77);
+  constexpr uint64_t kMix = 0x9E3779B97F4A7C15ULL;  // pseudo-random pattern
   for (int pattern = 0; pattern < 6; ++pattern) {
     std::vector<uint64_t> words(kWords, 0);
     for (size_t w = 0; w < kWords; ++w) {
@@ -285,18 +55,15 @@ TEST(CollectNonzeroWordsTest, DensePatternsAndMixedBlocks) {
                        : pattern == 2 ? (w % 4 == 3)
                        : pattern == 3 ? (w >= 24)
                        : pattern == 4 ? (w < 2)
-                                      : (vs.Next() > 0.0);
+                                      : ((w * kMix) >> 63) != 0;
       if (hot) words[w] = static_cast<uint64_t>(w * 2654435761u) | 1u;
     }
     const std::vector<uint32_t> expect = CollectReference(words, 0, kWords);
-    for (const KernelTable* kt : {&ScalarTable(), &Avx2Table()}) {
-      std::vector<uint32_t> got(kWords, 0xffffffffu);
-      const size_t n =
-          kt->collect_nonzero_words(words.data(), 0, kWords, got.data());
-      ASSERT_EQ(n, expect.size()) << kt->name << " pattern=" << pattern;
-      for (size_t k = 0; k < n; ++k) {
-        EXPECT_EQ(got[k], expect[k]) << kt->name << " pattern=" << pattern;
-      }
+    std::vector<uint32_t> got(kWords, 0xffffffffu);
+    const size_t n = CollectNonzeroWords(words.data(), 0, kWords, got.data());
+    ASSERT_EQ(n, expect.size()) << "pattern=" << pattern;
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(got[k], expect[k]) << "pattern=" << pattern;
     }
   }
 }
@@ -304,46 +71,8 @@ TEST(CollectNonzeroWordsTest, DensePatternsAndMixedBlocks) {
 TEST(CollectNonzeroWordsTest, AllZeroAndEmptyRanges) {
   std::vector<uint64_t> words(12, 0);
   uint32_t out[12];
-  for (const KernelTable* kt : {&ScalarTable(), &Avx2Table()}) {
-    EXPECT_EQ(kt->collect_nonzero_words(words.data(), 0, words.size(), out),
-              0u)
-        << kt->name;
-    EXPECT_EQ(kt->collect_nonzero_words(words.data(), 5, 5, out), 0u)
-        << kt->name;
-  }
-}
-
-// --- dispatch ---------------------------------------------------------------
-
-TEST(DispatchTest, TablesAreWellFormed) {
-  for (const KernelTable* kt : {&ScalarTable(), &Avx2Table(), &Active()}) {
-    ASSERT_NE(kt->name, nullptr);
-    EXPECT_NE(kt->dot4, nullptr);
-    EXPECT_NE(kt->critical_path4, nullptr);
-    EXPECT_NE(kt->clamp_range, nullptr);
-    EXPECT_NE(kt->collect_nonzero_words, nullptr);
-  }
-  EXPECT_STREQ(ScalarTable().name, "scalar");
-  if (Avx2Compiled()) {
-    EXPECT_STREQ(Avx2Table().name, "avx2");
-  } else {
-    // Fallback build: the AVX2 accessor aliases the scalar table.
-    EXPECT_EQ(&Avx2Table(), &ScalarTable());
-  }
-}
-
-TEST(DispatchTest, TestOverrideForcesTableAndRestores) {
-  const KernelTable& startup = Active();
-  SetActiveTableForTest(&ScalarTable());
-  EXPECT_EQ(&Active(), &ScalarTable());
-  EXPECT_FALSE(SimdActive());
-  if (Avx2Runnable()) {
-    SetActiveTableForTest(&Avx2Table());
-    EXPECT_EQ(&Active(), &Avx2Table());
-    EXPECT_TRUE(SimdActive());
-  }
-  SetActiveTableForTest(nullptr);
-  EXPECT_EQ(&Active(), &startup);
+  EXPECT_EQ(CollectNonzeroWords(words.data(), 0, words.size(), out), 0u);
+  EXPECT_EQ(CollectNonzeroWords(words.data(), 5, 5, out), 0u);
 }
 
 }  // namespace

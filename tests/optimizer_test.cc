@@ -193,6 +193,38 @@ TEST(CardinalityTest, UnionAddsRows) {
   EXPECT_DOUBLE_EQ(est.UnionAll(in, in).rows, 10000.0);
 }
 
+TEST(CardinalityTest, NdvCapClampsEveryColumnIntoOneToRows) {
+  // Every derivation that changes row counts re-caps the whole NDV column
+  // into [1, rows]: values below 1 lift to 1, values above rows drop to
+  // rows, exact boundary hits and interior values stay. Filter with no
+  // predicates keeps the input's rows and applies only the cap.
+  scope::Catalog catalog;
+  StatsDeriver est(catalog, StatsMode::kEstimated);
+  const std::vector<double> raw = {-3.0, 0.25, 1.0, 7.5, 64.0, 65.0, 1e9};
+  RelStats in;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    in.ndv[Sym("cap_c" + std::to_string(i))] = raw[i];
+  }
+  auto capped = [&](double rows) {
+    in.rows = rows;
+    RelStats out = est.Filter(in, {});
+    EXPECT_EQ(out.rows, rows);
+    std::vector<double> ndvs;
+    for (size_t i = 0; i < raw.size(); ++i) {
+      ndvs.push_back(out.NdvOf("cap_c" + std::to_string(i)));
+    }
+    return ndvs;
+  };
+  EXPECT_EQ(capped(64.0),
+            (std::vector<double>{1.0, 1.0, 1.0, 7.5, 64.0, 64.0, 64.0}));
+  // Degenerate ranges: at rows == 1 the bounds coincide, and below 1 the
+  // lower bound wins; either way every NDV lands exactly on 1.
+  for (double rows : {1.0, 0.5, 0.0}) {
+    EXPECT_EQ(capped(rows), std::vector<double>(raw.size(), 1.0))
+        << "rows=" << rows;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cost model.
 // ---------------------------------------------------------------------------
