@@ -126,10 +126,7 @@ class PersonalizerService {
   /// passes its published RCU snapshot's model here, so ranking reads a
   /// frozen model while the trainer works on the next one. Null scores with
   /// the learner's own model (the offline pipeline's behaviour).
-  ///
-  /// [[deprecated]]-in-comment for service callers: prefer
-  /// service::TenantSession::Rank, which snapshots the serving model and
-  /// serializes per-tenant traffic for you.
+  /// Layering: service::TenantSession::Rank calls this with its snapshot.
   Result<RankResponse> Rank(const RankRequest& request,
                             const CbModel* serving_model = nullptr);
 

@@ -58,8 +58,7 @@ struct FrontEndKeyHasher {
 /// error that producing it raised. The cross-config memo rides on the entry
 /// because its stored results are valid exactly as long as this plan +
 /// catalog fingerprint pair is — eviction or stats drift retires both
-/// together. `mutable` + internal mutex, same discipline as the prepared
-/// execution-profile slot on CompilationOutput.
+/// together. `mutable` because the memo is internally synchronized.
 struct CachedFrontEnd {
   Status status;
   scope::LogicalPlan plan;  ///< meaningful only when status.ok()

@@ -26,23 +26,18 @@ obs::Histogram& ExecuteSpanHist() {
   return *h;
 }
 
-// Cross-config memo tiers and prepared-profile slot reuse, counted for every
-// engine in the process.
+// Cross-config memo tiers, counted for every engine in the process.
 struct EngineCounters {
   obs::Counter& memo_full_hits;
   obs::Counter& memo_norm_hits;
   obs::Counter& memo_misses;
-  obs::Counter& profile_hits;
-  obs::Counter& profile_misses;
 };
 
 const EngineCounters& Counters() {
   static const EngineCounters counters{
       obs::Registry::Get().counter("optimizer.memo.full_hits"),
       obs::Registry::Get().counter("optimizer.memo.norm_hits"),
-      obs::Registry::Get().counter("optimizer.memo.misses"),
-      obs::Registry::Get().counter("exec.profile_hits"),
-      obs::Registry::Get().counter("exec.profile_misses")};
+      obs::Registry::Get().counter("optimizer.memo.misses")};
   return counters;
 }
 
@@ -229,9 +224,8 @@ exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
 exec::JobMetrics ScopeEngine::ExecuteImpl(
     const workload::JobInstance& job, const opt::CompilationOutput& compilation,
     uint64_t run_salt) const {
-  std::shared_ptr<const exec::ExecutionProfile> profile =
-      PrepareProfile(job, compilation);
-  return simulator_.Execute(*profile, RunSeed(job, run_salt));
+  return simulator_.Execute(compilation.plan, job.catalog,
+                            RunSeed(job, run_salt));
 }
 
 std::vector<exec::JobMetrics> ScopeEngine::ExecuteRuns(
@@ -242,42 +236,13 @@ std::vector<exec::JobMetrics> ScopeEngine::ExecuteRuns(
   QO_OBS_SPAN("exec.run_batch");
   std::vector<exec::JobMetrics> out;
   out.reserve(runs > 0 ? static_cast<size_t>(runs) : 0);
-  std::shared_ptr<const exec::ExecutionProfile> profile =
-      PrepareProfile(job, compilation);
+  const exec::ExecutionProfile profile =
+      simulator_.Prepare(compilation.plan, job.catalog);
   for (int i = 0; i < runs; ++i) {
     out.push_back(simulator_.Execute(
-        *profile, RunSeed(job, first_salt + static_cast<uint64_t>(i))));
+        profile, RunSeed(job, first_salt + static_cast<uint64_t>(i))));
   }
   return out;
-}
-
-std::shared_ptr<const exec::ExecutionProfile> ScopeEngine::PrepareProfile(
-    const workload::JobInstance& job,
-    const opt::CompilationOutput& compilation) const {
-  // Reuse requires the stored profile to match both the cluster config and
-  // the catalog statistics: scan work bakes in table sizes, so a compilation
-  // executed against drifted stats must re-prepare.
-  const uint64_t catalog_fp = job.catalog.StatsFingerprint();  // O(1)
-  auto matches = [&](const exec::ExecutionProfile& p) {
-    return p.config_fingerprint == simulator_.config_fingerprint() &&
-           p.catalog_fingerprint == catalog_fp;
-  };
-  std::shared_ptr<const exec::ExecutionProfile> existing =
-      compilation.exec_profile.Load();
-  if (existing != nullptr && matches(*existing)) {
-    Counters().profile_hits.Add();
-    return existing;
-  }
-  Counters().profile_misses.Add();
-  QO_OBS_SPAN("exec.prepare");
-  std::shared_ptr<const exec::ExecutionProfile> fresh =
-      simulator_.PrepareShared(compilation.plan, job.catalog);
-  std::shared_ptr<const exec::ExecutionProfile> winner =
-      compilation.exec_profile.TryStore(fresh);
-  // The slot can hold a foreign profile when a compilation is shared across
-  // engines with different cluster configs (or executed against drifted
-  // statistics); keep ours local then instead of clobbering the slot.
-  return matches(*winner) ? winner : fresh;
 }
 
 ScopeEngine::TemplateHists ScopeEngine::TemplateHistsFor(

@@ -13,13 +13,14 @@
 // (tests compare against exactly that) at any thread count; they only
 // change how often the compiler actually runs.
 //
-// Execution has one path too: every run goes through the compilation's
-// prepared ExecutionProfile (built once, then reused by every later run).
+// Execution has one path too: the cluster simulator prepares an
+// ExecutionProfile value per call (once per batch in ExecuteRuns) and runs
+// it. Profiles are not cached on the compilation: a CompilationOutput is a
+// plain value shared by engines with any cluster config.
 //
-// Cache, memo and profile-slot activity is counted into the process-wide
-// obs registry (cache.front_end.*, optimizer.memo.*, exec.profile_*): the
-// engine keeps no counters of its own, so the counts outlive it and sum
-// across engines.
+// Cache, memo and execution activity is counted into the process-wide obs
+// registry (cache.front_end.*, optimizer.memo.*, exec.*): the engine keeps
+// no counters of its own, so the counts outlive it and sum across engines.
 #ifndef QO_ENGINE_ENGINE_H_
 #define QO_ENGINE_ENGINE_H_
 
@@ -72,10 +73,7 @@ class ScopeEngine {
   /// Compile without copying: the returned output is shared with the cache
   /// and must not be mutated. This is the path the advisor pipeline uses —
   /// a cache hit is O(1) regardless of plan size.
-  /// [[deprecated]]-in-spirit for steered compile traffic: callers that want
-  /// hint resolution should go through service::TenantSession::Compile,
-  /// which resolves the tenant's published hint snapshot and then lands
-  /// here. Direct use remains supported for unsteered/experiment paths.
+  /// Layering: service::TenantSession::Compile resolves hints, then calls it.
   Result<std::shared_ptr<const opt::CompilationOutput>> CompileShared(
       const workload::JobInstance& job, const opt::RuleConfig& config) const;
 
@@ -88,36 +86,27 @@ class ScopeEngine {
   /// same instance (A/A and A/B runs); identical salts replay identically.
   /// Thread-safety: const and pure — all randomness derives from
   /// (job.run_seed, run_salt), safe to call concurrently.
-  /// [[deprecated]]-in-spirit for production-shaped callers: prefer
-  /// service::TenantSession::Compile + engine().Execute so the compile half
-  /// picks up the tenant's published hints.
+  /// Layering: runs `config` as given; TenantSession resolves hints above.
   Result<JobRunResult> Run(const workload::JobInstance& job,
                            const opt::RuleConfig& config,
                            uint64_t run_salt) const;
 
-  /// Executes a compilation through its cached execution profile (prepared
-  /// lazily on first use, then reused by every later run — A/A, A/B arms,
-  /// eval loops). Byte-identical to ClusterSimulator::Execute(plan, catalog,
-  /// seed) for every salt. Thread-safety: const and pure — see Run(); the
-  /// profile slot is internally synchronized, safe to call concurrently.
+  /// Executes a compilation once under this engine's cluster config:
+  /// ClusterSimulator::Execute(plan, job.catalog, seed), which prepares a
+  /// fresh profile for the run. Repeated runs of one compilation should use
+  /// ExecuteRuns. Thread-safety: const and pure — see Run(); safe to call
+  /// concurrently.
   exec::JobMetrics Execute(const workload::JobInstance& job,
                            const opt::CompilationOutput& compilation,
                            uint64_t run_salt) const;
 
-  /// Batched A/A runs over one prepared profile: the runs for salts
-  /// `first_salt + i`, i in [0, runs). Element i is byte-identical to
+  /// Batched A/A runs over one profile prepared for the batch: the runs for
+  /// salts `first_salt + i`, i in [0, runs). Element i is byte-identical to
   /// Execute(job, compilation, first_salt + i).
   std::vector<exec::JobMetrics> ExecuteRuns(
       const workload::JobInstance& job,
       const opt::CompilationOutput& compilation, uint64_t first_salt,
       int runs) const;
-
-  /// The compilation's execution profile: reuses the slot when it already
-  /// holds a profile for this engine's cluster config, otherwise prepares
-  /// (and publishes) one.
-  std::shared_ptr<const exec::ExecutionProfile> PrepareProfile(
-      const workload::JobInstance& job,
-      const opt::CompilationOutput& compilation) const;
 
   const opt::OptimizerOptions& optimizer_options() const {
     return optimizer_options_;

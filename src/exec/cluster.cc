@@ -3,29 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
-#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace qo::exec {
 
 namespace {
 
-// Profile preparations, runs served from a profile, and legacy runs that
-// re-derive the profile in-line — counted for every simulator in the process.
+// Profile preparations and runs served from a profile — counted for every
+// simulator in the process.
 struct ExecCounters {
   obs::Counter& prepares;
   obs::Counter& prepared_runs;
-  obs::Counter& unprepared_runs;
 };
 
 const ExecCounters& Counters() {
   static const ExecCounters counters{
       obs::Registry::Get().counter("exec.prepares"),
-      obs::Registry::Get().counter("exec.prepared_runs"),
-      obs::Registry::Get().counter("exec.unprepared_runs")};
+      obs::Registry::Get().counter("exec.prepared_runs")};
   return counters;
 }
 
@@ -263,35 +259,7 @@ std::vector<Stage> DecomposeIntoStages(const PhysicalPlan& plan,
   return DecomposeWithWork(plan, ComputeAllNodeWork(plan, catalog, config));
 }
 
-uint64_t ClusterConfigFingerprint(const ClusterConfig& c) {
-  // Field-count tripwire: this binding list must decompose every
-  // ClusterConfig field, so adding or removing one fails to compile here —
-  // forcing the hash to be revisited (a sizeof assert would miss fields
-  // that fit existing padding).
-  const auto& [tokens, cpu_scan_row, cpu_filter_row, cpu_project_row,
-               cpu_hash_build_row, cpu_hash_probe_row, cpu_sort_row_log,
-               cpu_agg_row, cpu_union_row, cpu_exchange_byte,
-               io_storage_read_byte, io_storage_write_byte, io_shuffle_byte,
-               stage_startup_sec, job_overhead_sec, stage_congestion_sigma,
-               job_congestion_sigma, straggler_prob, straggler_alpha,
-               straggler_cap, pn_cpu_sigma, pn_io_sigma, retry_prob,
-               retry_fraction] = c;
-  uint64_t h = HashU64(static_cast<uint64_t>(tokens), kFnvOffsetBasis);
-  for (double v :
-       {cpu_scan_row, cpu_filter_row, cpu_project_row, cpu_hash_build_row,
-        cpu_hash_probe_row, cpu_sort_row_log, cpu_agg_row, cpu_union_row,
-        cpu_exchange_byte, io_storage_read_byte, io_storage_write_byte,
-        io_shuffle_byte, stage_startup_sec, job_overhead_sec,
-        stage_congestion_sigma, job_congestion_sigma, straggler_prob,
-        straggler_alpha, straggler_cap, pn_cpu_sigma, pn_io_sigma, retry_prob,
-        retry_fraction}) {
-    h = HashDouble(v, h);
-  }
-  return MixHash(h);
-}
-
-ClusterSimulator::ClusterSimulator(ClusterConfig config)
-    : config_(config), config_fingerprint_(ClusterConfigFingerprint(config)) {
+ClusterSimulator::ClusterSimulator(ClusterConfig config) : config_(config) {
   Counters();  // register the series: they read 0 until the first event
 }
 
@@ -299,8 +267,6 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
                                            const scope::Catalog& catalog) const {
   Counters().prepares.Add();
   ExecutionProfile p;
-  p.config_fingerprint = config_fingerprint_;
-  p.catalog_fingerprint = catalog.StatsFingerprint();
 
   // Plan-level byte counters and total work, accumulated in node order (the
   // exact summation order of the legacy Execute, so the doubles match
@@ -314,53 +280,38 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
     p.total_io_sec += w.io_sec;
   }
 
-  std::vector<Stage> stages = DecomposeWithWork(plan, works);
-  p.stages.reserve(stages.size());
-  for (const Stage& s : stages) {
-    StageProfile sp;
-    sp.partitions = s.partitions;
-    sp.cpu_sec = s.cpu_sec;
-    sp.io_sec = s.io_sec;
-    sp.memory_bytes_per_vertex = s.memory_bytes_per_vertex;
-    sp.upstream = s.upstream;
+  p.stages = DecomposeWithWork(plan, works);
+  for (Stage& s : p.stages) {
     int parts = std::max(1, s.partitions);
     double per_vertex = (s.cpu_sec + s.io_sec) / parts;
     int waves = (parts + config_.tokens - 1) / config_.tokens;
-    sp.waves_per_vertex_sec = static_cast<double>(waves) * per_vertex;
+    s.waves_per_vertex_sec = static_cast<double>(waves) * per_vertex;
     // The slowest vertex governs the wave; approximate the expected max of
     // `parts` lognormals with a sqrt(log P) inflation.
-    sp.tail_inflation =
+    s.tail_inflation =
         1.0 + 0.12 * std::sqrt(std::log(static_cast<double>(parts) + 1.0));
     p.vertices += s.partitions;
-    p.stages.push_back(std::move(sp));
   }
 
-  // Topological evaluation order matching the legacy memoized recursion
-  // (iterative DFS, roots visited in index order, upstream in vector order).
-  // Cycles cannot arise from exchange boundaries alone but do arise for
-  // shared-subtree DAGs (see ExecutionProfile::has_cycle); detect them so
-  // Execute can keep the legacy recursion's exact cycle-breaking semantics.
-  enum : uint8_t { kUnvisited = 0, kOnStack = 1, kDone = 2 };
-  std::vector<uint8_t> state(p.stages.size(), kUnvisited);
+  // Critical-path evaluation order: iterative DFS post-order, roots in index
+  // order, upstream in vector order (see ExecutionProfile::topo_order).
+  std::vector<bool> visited(p.stages.size(), false);
   std::vector<std::pair<int, size_t>> dfs;  // (stage, next upstream position)
   p.topo_order.reserve(p.stages.size());
   for (size_t root = 0; root < p.stages.size(); ++root) {
-    if (state[root] != kUnvisited) continue;
-    state[root] = kOnStack;
+    if (visited[root]) continue;
+    visited[root] = true;
     dfs.emplace_back(static_cast<int>(root), 0);
     while (!dfs.empty()) {
       auto& [idx, pos] = dfs.back();
       const std::vector<int>& upstream = p.stages[idx].upstream;
       if (pos < upstream.size()) {
         int up = upstream[pos++];
-        if (state[up] == kUnvisited) {
-          state[up] = kOnStack;
+        if (!visited[up]) {
+          visited[up] = true;
           dfs.emplace_back(up, 0);
-        } else if (state[up] == kOnStack) {
-          p.has_cycle = true;
         }
       } else {
-        state[idx] = kDone;
         p.topo_order.push_back(idx);
         dfs.pop_back();
       }
@@ -369,42 +320,29 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
   return p;
 }
 
-std::shared_ptr<const ExecutionProfile> ClusterSimulator::PrepareShared(
-    const PhysicalPlan& plan, const scope::Catalog& catalog) const {
-  return std::make_shared<const ExecutionProfile>(Prepare(plan, catalog));
-}
-
 JobMetrics ClusterSimulator::Execute(const PhysicalPlan& plan,
                                      const scope::Catalog& catalog,
                                      uint64_t run_seed) const {
-  Counters().unprepared_runs.Add();
-  return ExecuteProfile(Prepare(plan, catalog), run_seed);
-}
-
-JobMetrics ClusterSimulator::Execute(const ExecutionProfile& profile,
-                                     uint64_t run_seed) const {
-  Counters().prepared_runs.Add();
-  return ExecuteProfile(profile, run_seed);
+  return Execute(Prepare(plan, catalog), run_seed);
 }
 
 std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
     const ExecutionProfile& profile, uint64_t base_seed, int runs) const {
   std::vector<JobMetrics> out;
   if (runs <= 0) return out;
-  Counters().prepared_runs.Add(static_cast<uint64_t>(runs));
   out.reserve(static_cast<size_t>(runs));
   for (int i = 0; i < runs; ++i) {
-    out.push_back(
-        ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
+    out.push_back(Execute(profile, base_seed + static_cast<uint64_t>(i)));
   }
   return out;
 }
 
-// The stochastic inner loop. Every arithmetic expression here mirrors the
-// legacy one-shot Execute exactly (same draw order, same association), so
-// prepared and unprepared runs produce bit-identical JobMetrics.
-JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
-                                            uint64_t run_seed) const {
+// The stochastic inner loop. The draw order and the association of every
+// arithmetic expression fix each run's bytes (exec_test pins them with
+// kCyclicStageDagDigest and kAggregateImpactDigest).
+JobMetrics ClusterSimulator::Execute(const ExecutionProfile& p,
+                                     uint64_t run_seed) const {
+  Counters().prepared_runs.Add();
   Rng rng(run_seed);
   JobMetrics m;
   m.data_read_bytes = p.data_read_bytes;
@@ -415,7 +353,7 @@ JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
   double cpu_noisy =
       p.total_cpu_sec * rng.LogNormal(0.0, config_.pn_cpu_sigma);
   double io_noisy = p.total_io_sec * rng.LogNormal(0.0, config_.pn_io_sigma);
-  for (const StageProfile& s : p.stages) {
+  for (const Stage& s : p.stages) {
     if (rng.Bernoulli(config_.retry_prob)) {
       double extra = config_.retry_fraction * rng.Uniform();
       cpu_noisy += s.cpu_sec * extra;
@@ -440,36 +378,17 @@ JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
     }
     stage_noise[i] = congestion * straggler;
   }
-  auto duration_of = [&](int idx) {
-    const StageProfile& s = p.stages[idx];
-    return config_.stage_startup_sec +
-           s.waves_per_vertex_sec * stage_noise[idx] * s.tail_inflation;
-  };
-  std::vector<double> finish(p.stages.size(), -1.0);
-  if (!p.has_cycle) {
-    // Upstream finishes are resolved before their consumers in topo order:
-    // the memoized recursion collapses to one linear walk.
-    for (int idx : p.topo_order) {
-      double ready = 0.0;
-      for (int up : p.stages[idx].upstream) {
-        ready = std::max(ready, finish[up]);
-      }
-      finish[idx] = ready + duration_of(idx);
-    }
-  } else {
-    // Legacy memoized recursion, kept verbatim for its cycle-breaking
-    // semantics (finish reads 0.0 for a stage currently being computed).
-    std::function<double(size_t)> finish_of = [&](size_t idx) -> double {
-      if (finish[idx] >= 0.0) return finish[idx];
-      finish[idx] = 0.0;  // break cycles defensively
-      double ready = 0.0;
-      for (int up : p.stages[idx].upstream) {
-        ready = std::max(ready, finish_of(static_cast<size_t>(up)));
-      }
-      finish[idx] = ready + duration_of(static_cast<int>(idx));
-      return finish[idx];
-    };
-    for (size_t i = 0; i < p.stages.size(); ++i) finish_of(i);
+  // One linear walk in topo_order. On an acyclic stage graph every upstream
+  // finish is final when read; on a cyclic one an upstream stage still on
+  // the DFS stack comes later in the order and reads as 0.0.
+  std::vector<double> finish(p.stages.size(), 0.0);
+  for (int idx : p.topo_order) {
+    const Stage& s = p.stages[idx];
+    double ready = 0.0;
+    for (int up : s.upstream) ready = std::max(ready, finish[up]);
+    finish[idx] = ready + (config_.stage_startup_sec +
+                           s.waves_per_vertex_sec * stage_noise[idx] *
+                               s.tail_inflation);
   }
   double critical = 0.0;
   for (size_t i = 0; i < p.stages.size(); ++i) {
@@ -481,7 +400,7 @@ JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
 
   // --- Memory. ---
   double max_mem = 0.0, sum_mem = 0.0;
-  for (const StageProfile& s : p.stages) {
+  for (const Stage& s : p.stages) {
     double mem = s.memory_bytes_per_vertex * rng.LogNormal(0.0, 0.05);
     max_mem = std::max(max_mem, mem);
     sum_mem += mem;

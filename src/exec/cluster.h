@@ -16,15 +16,15 @@
 // A/A and A/B flighting execute the *same* physical plan dozens of times
 // with only the run seed varying (paper Sec. 4.3), so the deterministic part
 // of a run — stage decomposition, per-stage noiseless work, byte counters,
-// vertex counts — is split out into an ExecutionProfile built once by
+// vertex counts — is split out into an ExecutionProfile value built by
 // Prepare(). Execute(profile, seed) then performs only the stochastic draws
-// plus a linear walk over the pre-toposorted stages, and is byte-identical
-// to Execute(plan, catalog, seed) for every seed.
+// plus a linear walk over the pre-ordered stages; Execute(plan, catalog,
+// seed) is Execute(Prepare(plan, catalog), seed), and ExecuteRuns amortizes
+// one profile over a batch of seeds. Nothing caches profiles across calls.
 #ifndef QO_EXEC_CLUSTER_H_
 #define QO_EXEC_CLUSTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -85,6 +85,13 @@ struct Stage {
   double cpu_sec = 0.0;  ///< total across vertices, noiseless
   double io_sec = 0.0;
   double memory_bytes_per_vertex = 0.0;
+  /// waves * ((cpu_sec + io_sec) / max(1, partitions)): the noiseless wave
+  /// time the per-run stage noise multiplies. Set by ClusterSimulator::
+  /// Prepare (DecomposeIntoStages leaves it 0).
+  double waves_per_vertex_sec = 0.0;
+  /// Expected-max inflation for the slowest vertex of the wave. Set by
+  /// ClusterSimulator::Prepare.
+  double tail_inflation = 1.0;
 };
 
 /// Deterministic decomposition of a plan into stages (exposed for tests and
@@ -93,57 +100,31 @@ std::vector<Stage> DecomposeIntoStages(const opt::PhysicalPlan& plan,
                                        const scope::Catalog& catalog,
                                        const ClusterConfig& config);
 
-/// The deterministic, noiseless slice of one stage, precomputed by
-/// ClusterSimulator::Prepare so the per-run inner loop touches no plan or
-/// catalog state.
-struct StageProfile {
-  int partitions = 1;
-  double cpu_sec = 0.0;  ///< total across vertices, noiseless
-  double io_sec = 0.0;
-  double memory_bytes_per_vertex = 0.0;
-  /// waves * ((cpu_sec + io_sec) / max(1, partitions)): the noiseless wave
-  /// time the per-run stage noise multiplies.
-  double waves_per_vertex_sec = 0.0;
-  /// Expected-max inflation for the slowest vertex of the wave.
-  double tail_inflation = 1.0;
-  std::vector<int> upstream;  ///< stages this stage waits for
-};
-
 /// Everything about a (plan, catalog, cluster config) triple that does not
 /// depend on the run seed: the stage DAG with per-stage noiseless work, the
-/// plan-level byte counters and work totals, and a topological evaluation
-/// order for the latency critical path. Immutable after Prepare() returns —
-/// safe to Execute() from any number of threads concurrently.
+/// plan-level byte counters and work totals, and an evaluation order for the
+/// latency critical path. A plain value built by ClusterSimulator::Prepare
+/// for one call or one batch of runs; it is only valid for the simulator
+/// (cluster config) and catalog statistics it was prepared with. Immutable
+/// after Prepare() returns — safe to Execute() from many threads at once.
 struct ExecutionProfile {
   /// Stages in decomposition order. This order fixes the RNG draw sequence,
   /// so it must match DecomposeIntoStages exactly.
-  std::vector<StageProfile> stages;
-  /// Stage indices in upstream-before-consumer order (finish times resolve
-  /// in one linear walk). Empty only when `stages` is empty.
+  std::vector<Stage> stages;
+  /// Stage indices in DFS post-order over the upstream edges (roots in index
+  /// order, upstream in vector order). Finish times resolve in one linear
+  /// walk over it. The stage graph of a shared-subtree DAG can contain a
+  /// cycle (a scan read by a join both directly and through an exchange puts
+  /// the two stages upstream of each other); an upstream stage still on the
+  /// DFS stack then comes later in this order, so the walk reads its finish
+  /// time as 0.0 (exec_test pins this case).
   std::vector<int> topo_order;
-
-  /// The stage graph of a shared-subtree DAG can contain a cycle: a scan
-  /// read by a join both directly and through an exchange puts the join's
-  /// stage and the exchange's producer stage upstream of each other.
-  /// Execute then uses the legacy memoized recursion, whose cycle-breaking
-  /// semantics fix the metrics (exec_test pins this case).
-  bool has_cycle = false;
   double total_cpu_sec = 0.0;
   double total_io_sec = 0.0;
   double data_read_bytes = 0.0;
   double data_written_bytes = 0.0;
   int vertices = 0;  ///< total task instances across stages
-  /// Fingerprint of the ClusterConfig this profile was prepared under; a
-  /// profile must only be executed by a simulator with the same config.
-  uint64_t config_fingerprint = 0;
-  /// Catalog-stats fingerprint at Prepare time: scan work bakes in table
-  /// sizes, so reuse is only sound while the statistics are unchanged.
-  uint64_t catalog_fingerprint = 0;
 };
-
-/// Content fingerprint over every ClusterConfig field (timing constants and
-/// noise parameters); used to guard profile reuse across simulators.
-uint64_t ClusterConfigFingerprint(const ClusterConfig& config);
 
 /// The cluster simulator. Each Execute() call is one run of the job; the
 /// `run_seed` determines all stochastic draws, so A/A runs with different
@@ -151,21 +132,20 @@ uint64_t ClusterConfigFingerprint(const ClusterConfig& config);
 /// repeatable.
 ///
 /// Preparations and runs are counted into the process-wide obs registry
-/// (exec.prepares, exec.prepared_runs, exec.unprepared_runs). The simulator
-/// holds no counters itself, so a copy is an ordinary value copy and every
-/// simulator in the process adds to the same series.
+/// (exec.prepares, exec.prepared_runs). The simulator holds no counters
+/// itself, so a copy is an ordinary value copy and every simulator in the
+/// process adds to the same series.
 class ClusterSimulator {
  public:
   explicit ClusterSimulator(ClusterConfig config = {});
 
   const ClusterConfig& config() const { return config_; }
-  uint64_t config_fingerprint() const { return config_fingerprint_; }
 
-  /// Executes `plan` once. The catalog supplies ground-truth table sizes for
-  /// scan I/O. Byte counters in the result are noise-free (paper Sec. 4.3:
-  /// "data read and data written remain constant" across A/A runs).
-  /// Re-derives the execution profile on every call; repeated runs of one
-  /// plan should Prepare() once and use the profile overload instead.
+  /// Executes `plan` once: Execute(Prepare(plan, catalog), run_seed). The
+  /// catalog supplies ground-truth table sizes for scan I/O. Byte counters
+  /// in the result are noise-free (paper Sec. 4.3: "data read and data
+  /// written remain constant" across A/A runs). Repeated runs of one plan
+  /// should Prepare() once and use the profile overload or ExecuteRuns.
   /// Thread-safety: const and pure — every stochastic draw comes from a
   /// local Rng seeded with `run_seed` (no shared generator), and `config_`
   /// is immutable after construction; safe to call concurrently.
@@ -178,16 +158,11 @@ class ClusterSimulator {
   ExecutionProfile Prepare(const opt::PhysicalPlan& plan,
                            const scope::Catalog& catalog) const;
 
-  /// Prepare() wrapped for shared caching (the engine attaches this to the
-  /// compilation cache's immutable CompilationOutput).
-  std::shared_ptr<const ExecutionProfile> PrepareShared(
-      const opt::PhysicalPlan& plan, const scope::Catalog& catalog) const;
-
   /// Executes a prepared profile once: only the stochastic draws and the
-  /// linear critical-path walk run. Byte-identical to the plan overload for
-  /// every seed (asserted by exec_test). The profile must come from a
-  /// simulator with the same ClusterConfig. Thread-safety: const and pure;
-  /// one profile may be executed from many threads concurrently.
+  /// linear critical-path walk run. The profile must come from a simulator
+  /// with the same ClusterConfig, prepared against the catalog statistics
+  /// the run should see. Thread-safety: const and pure; one profile may be
+  /// executed from many threads concurrently.
   JobMetrics Execute(const ExecutionProfile& profile, uint64_t run_seed) const;
 
   /// Batched A/A runs: Execute(profile, base_seed + i) for i in [0, runs),
@@ -197,11 +172,7 @@ class ClusterSimulator {
                                       uint64_t base_seed, int runs) const;
 
  private:
-  JobMetrics ExecuteProfile(const ExecutionProfile& profile,
-                            uint64_t run_seed) const;
-
   ClusterConfig config_;
-  uint64_t config_fingerprint_ = 0;
 };
 
 }  // namespace qo::exec

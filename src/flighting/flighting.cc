@@ -12,7 +12,7 @@ namespace qo::flight {
 namespace {
 
 /// A provisional (speculative) flight: `ran` records whether engine time was
-/// actually burned — and therefore reserved against the budget gate.
+/// actually burned — and therefore must be admitted against the budget.
 struct Provisional {
   FlightResult result;
   bool ran = false;
@@ -215,8 +215,7 @@ std::vector<FlightResult> FlightingService::FlightBatch(
 
   // Worker side: speculative flights. Committed budget is monotone within a
   // batch, so once the gate is exhausted the in-order commit below is
-  // certain to reject this request — skip the engine work entirely. Engine
-  // hours burned speculatively are held as a reservation until settled.
+  // certain to reject this request — skip the engine work entirely.
   auto work = [&](size_t i) -> Provisional {
     Provisional p;
     if (gate_.Exhausted()) {
@@ -224,11 +223,8 @@ std::vector<FlightResult> FlightingService::FlightBatch(
       return p;
     }
     p.result = RunFlight(requests[i], run_salt + i);
-    if (p.result.outcome == FlightOutcome::kSuccess ||
-        p.result.outcome == FlightOutcome::kTimeout) {
-      p.ran = true;
-      gate_.Reserve(p.result.machine_hours);
-    }
+    p.ran = p.result.outcome == FlightOutcome::kSuccess ||
+            p.result.outcome == FlightOutcome::kTimeout;
     return p;
   };
 
@@ -238,17 +234,16 @@ std::vector<FlightResult> FlightingService::FlightBatch(
   // the actual hours so committed spend never exceeds the cap.
   auto commit = [&](size_t i, Provisional&& p) {
     if (gate_.Exhausted()) {
-      if (p.ran) gate_.Refund(p.result.machine_hours);
       results.push_back(BudgetRejected(requests[i].job.job_id));
       CountOutcome(FlightOutcome::kBudgetRejected);
       return;
     }
-    if (!p.ran) {  // environmental failure or filtered: refunded up front
+    if (!p.ran) {  // environmental failure or filtered: spends nothing
       CountOutcome(p.result.outcome, p.result.fault_injected);
       results.push_back(std::move(p.result));
       return;
     }
-    if (!gate_.CommitReserved(p.result.machine_hours)) {
+    if (!gate_.TrySpend(p.result.machine_hours)) {
       // Admitting this flight would overspend the budget.
       results.push_back(BudgetRejected(requests[i].job.job_id));
       CountOutcome(FlightOutcome::kBudgetRejected);

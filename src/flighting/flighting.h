@@ -17,8 +17,8 @@
 // of its request — parallel batches are byte-identical to serial ones.
 //
 // Committed outcomes, batches and A/A runs are counted into the
-// process-wide obs registry (flight.*) at the serial commit points, so
-// speculative flights refunded by budget admission are not counted.
+// process-wide obs registry (flight.*) at the serial commit points, so a
+// speculative flight that budget admission rejects counts as rejected only.
 #ifndef QO_FLIGHTING_FLIGHTING_H_
 #define QO_FLIGHTING_FLIGHTING_H_
 
@@ -128,7 +128,6 @@ class FlightingService {
   void ResetBudget() { gate_.Reset(); }
 
   const FlightingConfig& config() const { return config_; }
-  const runtime::BudgetGate& budget_gate() const { return gate_; }
 
  private:
   /// The pure flight computation: environmental draws + both engine arms,

@@ -1,45 +1,8 @@
 #include "optimizer/physical_plan.h"
 
 #include <functional>
-#include <utility>
 
 namespace qo::opt {
-
-ExecProfileSlot& ExecProfileSlot::operator=(const ExecProfileSlot& o) {
-  // Copy-assignment replaces the plan, so the profile is stale: reset.
-  if (this != &o) {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_.reset();
-  }
-  return *this;
-}
-
-ExecProfileSlot& ExecProfileSlot::operator=(ExecProfileSlot&& o) noexcept {
-  if (this != &o) {
-    Ptr moved = o.Take();
-    std::lock_guard<std::mutex> lock(mu_);
-    value_ = std::move(moved);
-  }
-  return *this;
-}
-
-ExecProfileSlot::~ExecProfileSlot() = default;
-
-ExecProfileSlot::Ptr ExecProfileSlot::Load() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return value_;
-}
-
-ExecProfileSlot::Ptr ExecProfileSlot::TryStore(Ptr p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (value_ == nullptr) value_ = std::move(p);
-  return value_;
-}
-
-ExecProfileSlot::Ptr ExecProfileSlot::Take() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::move(value_);
-}
 
 const char* PhysOpKindToString(PhysOpKind k) {
   switch (k) {

@@ -4,17 +4,12 @@
 #define QO_OPTIMIZER_PHYSICAL_PLAN_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "scope/ast.h"
 #include "scope/types.h"
-
-namespace qo::exec {
-struct ExecutionProfile;  // exec/cluster.h; kept opaque to avoid a cycle
-}  // namespace qo::exec
 
 namespace qo::opt {
 
@@ -111,51 +106,12 @@ struct PhysicalPlan {
   std::string ToString() const;
 };
 
-/// Thread-safe lazy slot holding the execution simulator's prepared profile
-/// for a plan (exec::ExecutionProfile, opaque here). It lives on the shared,
-/// otherwise-immutable CompilationOutput so that every consumer of a cached
-/// compilation — flighting's A/A and A/B arms, the experiment eval loops,
-/// recommendation — amortizes one stage decomposition across all runs.
-///
-/// Concurrency: Load/TryStore are internally synchronized; racing prepares
-/// are benign (first store wins, and Prepare is deterministic, so the loser
-/// computed the same profile). Copying a CompilationOutput resets the slot —
-/// a copy may be executed under a different cluster config — while moving
-/// transfers it.
-class ExecProfileSlot {
- public:
-  using Ptr = std::shared_ptr<const exec::ExecutionProfile>;
-
-  ExecProfileSlot() = default;
-  ExecProfileSlot(const ExecProfileSlot&) {}
-  ExecProfileSlot(ExecProfileSlot&& o) noexcept : value_(o.Take()) {}
-  ExecProfileSlot& operator=(const ExecProfileSlot& o);
-  ExecProfileSlot& operator=(ExecProfileSlot&& o) noexcept;
-  ~ExecProfileSlot();
-
-  /// The stored profile, or null when none has been prepared yet.
-  Ptr Load() const;
-
-  /// Stores `p` if the slot is empty and returns the slot's content
-  /// afterwards (the winning profile under concurrent prepares).
-  Ptr TryStore(Ptr p) const;
-
- private:
-  Ptr Take() noexcept;
-
-  mutable std::mutex mu_;
-  mutable Ptr value_;
-};
-
 /// Everything the "SCOPE compiler + optimizer" returns for one job: the plan,
 /// its total estimated cost, and the rule signature (paper Sec. 2.1).
 struct CompilationOutput {
   PhysicalPlan plan;
   double est_cost = 0.0;
   BitVector256 signature;
-  /// Lazily-prepared execution profile for `plan` (internally synchronized;
-  /// the only mutable part of a shared compilation). See ExecProfileSlot.
-  ExecProfileSlot exec_profile;
 };
 
 }  // namespace qo::opt

@@ -2,25 +2,16 @@
 // (paper Sec. 4.3: the flighting service runs under a constrained total
 // machine-hour budget).
 //
-// Hours move through three states:
+// Admission through TrySpend is strict: committed spend never exceeds
+// capacity. Spend() is the legacy single-flight path (admission is a
+// pre-check, the actual hours land afterwards), which may overshoot
+// capacity by at most one flight.
 //
-//   reserve  — a worker holds hours for speculative in-flight work
-//              (reserved at dequeue);
-//   commit   — the hours were genuinely spent and count against capacity;
-//   refund   — the reservation is released without spending (environmental
-//              failure, filtered job, or admission rejected).
-//
-// Admission through CommitReserved/TrySpend is strict: committed spend
-// never exceeds capacity. Spend() is the legacy single-flight path
-// (admission is a pre-check, the actual hours land afterwards), which may
-// overshoot capacity by at most one flight.
-//
-// Reservations are deliberately *observability only* — admission ignores
-// reserved_ by design. Reservations are made by workers in timing-dependent
-// order, so letting them gate admission would make results depend on thread
-// interleaving; deterministic admission must read only committed_, which
-// advances solely at the ordered commit. The cost is bounded speculation:
-// up to one in-flight task per worker may run past the cap and be refunded.
+// Deterministic admission reads only committed hours, which advance solely
+// at the caller's ordered commit: speculative in-flight work is not tracked
+// here, so results never depend on thread interleaving. The cost is bounded
+// speculation: up to one in-flight task per worker may run past the cap and
+// be rejected at its commit.
 //
 // Thread-safety: all methods are safe to call concurrently. committed() is
 // monotonically non-decreasing between Reset() calls — callers exploit this
@@ -28,7 +19,6 @@
 #ifndef QO_RUNTIME_BUDGET_GATE_H_
 #define QO_RUNTIME_BUDGET_GATE_H_
 
-#include <cstddef>
 #include <mutex>
 
 namespace qo::runtime {
@@ -39,45 +29,26 @@ class BudgetGate {
 
   double capacity() const { return capacity_; }
   double committed() const;
-  double reserved() const;
 
-  /// Legacy pre-check admission: true while any budget remains.
-  bool Admissible() const;
-  bool Exhausted() const { return !Admissible(); }
+  /// True once no budget remains (committed >= capacity).
+  bool Exhausted() const;
 
-  /// Holds `hours` for in-flight speculative work.
-  void Reserve(double hours);
-
-  /// Releases a reservation without spending.
-  void Refund(double hours);
-
-  /// Releases the reservation and commits it iff the spend fits:
-  /// requires committed + hours <= capacity. Returns whether the hours were
-  /// committed (false = refused, reservation refunded, nothing spent).
-  bool CommitReserved(double hours);
-
-  /// Strict spend without a prior reservation; same admission rule as
-  /// CommitReserved.
+  /// Strict spend: commits `hours` iff committed + hours <= capacity.
+  /// Returns whether the hours were committed (false = refused, nothing
+  /// spent).
   bool TrySpend(double hours);
 
   /// Unchecked spend: always lands, may overshoot capacity (legacy
   /// FlightOne/RunAA semantics where admission is a pre-check).
   void Spend(double hours);
 
-  /// Zeroes committed and reserved hours.
+  /// Zeroes committed hours.
   void Reset();
 
  private:
-  /// Settles one reservation (mu_ held): subtracts the hours and, when no
-  /// reservations remain outstanding, snaps rounding dust to exactly 0.0.
-  void ReleaseReservationLocked(double hours);
-
   const double capacity_;
   mutable std::mutex mu_;
   double committed_ = 0.0;
-  double reserved_ = 0.0;
-  /// Reservations made but not yet refunded/committed.
-  size_t outstanding_reservations_ = 0;
 };
 
 }  // namespace qo::runtime

@@ -100,9 +100,7 @@ class StatsInsightService {
   /// Validates and installs a hint file as the next version.
   /// InvalidArgument for malformed entries (unknown rule id, duplicate
   /// template, flip that matches the default — i.e. a no-op hint).
-  /// [[deprecated]]-in-comment for direct service callers: go through
-  /// service::TenantSession::UploadHints, which also republishes the
-  /// tenant's snapshot so concurrent compiles see the new hints.
+  /// Layering: service::TenantSession::UploadHints calls this, then publishes.
   Result<int> UploadHintFile(const HintFile& file);
 
   /// Immutable snapshot of the active hint set at the current version — the

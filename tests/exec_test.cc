@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -252,7 +253,6 @@ TEST(PreparedExecutionTest, ByteIdenticalToUnpreparedAcrossSeeds) {
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
   ExecutionProfile profile = sim.Prepare(plan, catalog);
-  EXPECT_FALSE(profile.has_cycle);
   EXPECT_EQ(profile.topo_order.size(), profile.stages.size());
   for (uint64_t seed = 0; seed < 64; ++seed) {
     ExpectMetricsBitEqual(sim.Execute(plan, catalog, seed),
@@ -330,7 +330,6 @@ TEST(PreparedExecutionTest, CyclicStageGraphGolden) {
 
   ClusterSimulator sim;
   ExecutionProfile profile = sim.Prepare(plan, catalog);
-  EXPECT_TRUE(profile.has_cycle);
   constexpr uint64_t kBase = 300;
   constexpr int kRuns = 23;
   std::vector<JobMetrics> batch = sim.ExecuteRuns(profile, kBase, kRuns);
@@ -373,7 +372,8 @@ TEST(PreparedExecutionTest, ConcurrentProfileRunsMatchSerial) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
-  auto profile = sim.PrepareShared(plan, catalog);
+  auto profile =
+      std::make_shared<const ExecutionProfile>(sim.Prepare(plan, catalog));
   constexpr int kThreads = 4;
   constexpr int kRunsPerThread = 64;
   std::vector<JobMetrics> serial;
@@ -419,14 +419,13 @@ TEST(PreparedExecutionTest, TelemetryCountersTrack) {
   sim.Execute(profile, 1);
   sim.ExecuteRuns(profile, 2, 3);
   EXPECT_EQ(Series("exec.prepared_runs"), 4.0);
-  EXPECT_EQ(Series("exec.unprepared_runs"), 0.0);
-  sim.Execute(plan, catalog, 1);  // legacy path: prepares inline
-  EXPECT_EQ(Series("exec.unprepared_runs"), 1.0);
+  sim.Execute(plan, catalog, 1);  // prepares inline, then runs the profile
+  EXPECT_EQ(Series("exec.prepared_runs"), 5.0);
   EXPECT_EQ(Series("exec.prepares"), 2.0);
   // A copy adds to the same process-wide counts.
   ClusterSimulator copy = sim;
   copy.Execute(profile, 5);
-  EXPECT_EQ(Series("exec.prepared_runs"), 5.0);
+  EXPECT_EQ(Series("exec.prepared_runs"), 6.0);
 }
 
 TEST(PreparedExecutionTest, AAVarianceStructure) {
@@ -447,7 +446,7 @@ TEST(PreparedExecutionTest, AAVarianceStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: the profile slot on shared compilations.
+// Engine integration: shared compilations, batches, cluster configs, drift.
 // ---------------------------------------------------------------------------
 
 const workload::JobInstance& EngineTestJob() {
@@ -465,12 +464,11 @@ TEST(EnginePreparedTest, SharedProfileAgreesWithFreshProfileAndBatch) {
   auto compiled = engine.CompileShared(job, opt::RuleConfig::Default());
   ASSERT_TRUE(compiled.ok());
   for (uint64_t salt : {0ull, 1ull, 17ull, 123456789ull}) {
-    // The shared compilation reuses its slot's profile after the first run;
-    // a copy starts with an empty slot and prepares its own.
-    JobMetrics via_slot = engine.Execute(job, **compiled, salt);
-    JobMetrics via_fresh =
+    // The cached compilation and a private copy of it run identically.
+    JobMetrics via_shared = engine.Execute(job, **compiled, salt);
+    JobMetrics via_copy =
         engine.Execute(job, opt::CompilationOutput(**compiled), salt);
-    ExpectMetricsBitEqual(via_slot, via_fresh);
+    ExpectMetricsBitEqual(via_shared, via_copy);
   }
   std::vector<JobMetrics> batch = engine.ExecuteRuns(job, **compiled, 50, 8);
   ASSERT_EQ(batch.size(), 8u);
@@ -479,29 +477,46 @@ TEST(EnginePreparedTest, SharedProfileAgreesWithFreshProfileAndBatch) {
   }
 }
 
-TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
-  // Slot reuse rides on both runs sharing one cached CompilationOutput.
-  obs::Registry::Get().ZeroAllForTest();
-  engine::ScopeEngine engine;
+TEST(EnginePreparedTest, SharedCompilationAcrossClusterConfigs) {
+  // One compilation executed by engines with different cluster configs,
+  // interleaved: each run must follow its own engine's config, exactly as
+  // that engine's runs of its own compile of the job do.
+  ClusterConfig wide_config;
+  wide_config.tokens = 64;
+  ClusterConfig narrow_config;
+  narrow_config.tokens = 8;
+  engine::ScopeEngine wide({}, wide_config);
+  engine::ScopeEngine narrow({}, narrow_config);
   const workload::JobInstance& job = EngineTestJob();
-  auto first = engine.Run(job, opt::RuleConfig::Default(), 1);
-  ASSERT_TRUE(first.ok());
-  auto again = engine.Run(job, opt::RuleConfig::Default(), 2);
-  ASSERT_TRUE(again.ok());
-  // The compile cache hands back the same CompilationOutput, so the
-  // second run reuses the profile prepared by the first.
-  EXPECT_EQ(Series("exec.prepares"), 1.0);
-  EXPECT_EQ(Series("exec.profile_misses"), 1.0);
-  EXPECT_GE(Series("exec.profile_hits"), 1.0);
-  // And the profile both runs used is the one in the slot.
-  auto profile = engine.PrepareProfile(job, *first->compilation);
-  EXPECT_EQ(profile.get(), first->compilation->exec_profile.Load().get());
+  auto shared = wide.CompileShared(job, opt::RuleConfig::Default());
+  auto narrow_own = narrow.CompileShared(job, opt::RuleConfig::Default());
+  ASSERT_TRUE(shared.ok());
+  ASSERT_TRUE(narrow_own.ok());
+  bool configs_differ = false;
+  for (uint64_t salt : {0ull, 1ull, 17ull, 123456789ull}) {
+    SCOPED_TRACE("salt " + std::to_string(salt));
+    JobMetrics on_wide = wide.Execute(job, **shared, salt);
+    JobMetrics on_narrow = narrow.Execute(job, **shared, salt);
+    ExpectMetricsBitEqual(on_narrow, narrow.Execute(job, **narrow_own, salt));
+    ExpectMetricsBitEqual(on_wide, wide.Execute(job, **shared, salt));
+    configs_differ |= on_wide.latency_sec != on_narrow.latency_sec;
+  }
+  std::vector<JobMetrics> wide_batch = wide.ExecuteRuns(job, **shared, 50, 4);
+  std::vector<JobMetrics> narrow_batch =
+      narrow.ExecuteRuns(job, **shared, 50, 4);
+  for (int i = 0; i < 4; ++i) {
+    ExpectMetricsBitEqual(narrow_batch[i],
+                          narrow.Execute(job, **narrow_own, 50 + i));
+    ExpectMetricsBitEqual(wide_batch[i], wide.Execute(job, **shared, 50 + i));
+  }
+  // The token budget must actually change the runs for this to mean
+  // anything.
+  EXPECT_TRUE(configs_differ);
 }
 
 TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   // A profile bakes in scan sizes from the catalog; if a job's statistics
-  // drift, the prepared overload must re-prepare rather than serve metrics
-  // for the old table sizes.
+  // drift, later runs of an existing compilation must see the new sizes.
   engine::ScopeEngine engine;
   workload::JobInstance job;
   job.job_id = "drift_job";
@@ -520,14 +535,13 @@ TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   scope::TableStats fact = *job.catalog.Lookup("fact").value();
   fact.true_rows *= 2;
   job.catalog.RegisterTable("fact", fact);
-  JobMetrics after_prepared = engine.Execute(job, **compiled, 3);
-  // A copy has an empty slot, so it prepares against the drifted catalog.
-  JobMetrics after_fresh =
-      engine.Execute(job, opt::CompilationOutput(**compiled), 3);
-  // The slot's stale profile must not be served (and the drift must
-  // actually change the metrics).
-  ExpectMetricsBitEqual(after_prepared, after_fresh);
-  EXPECT_NE(before.pn_hours, after_prepared.pn_hours);
+  JobMetrics after = engine.Execute(job, **compiled, 3);
+  // The shared compilation carries no execution state from the first run:
+  // it runs exactly like a private copy against the drifted catalog (and
+  // the drift actually changes the metrics).
+  ExpectMetricsBitEqual(
+      after, engine.Execute(job, opt::CompilationOutput(**compiled), 3));
+  EXPECT_NE(before.pn_hours, after.pn_hours);
 }
 
 // ---------------------------------------------------------------------------

@@ -202,25 +202,12 @@ TEST(BudgetGateTest, StrictCommitNeverOverspends) {
   EXPECT_TRUE(gate.Exhausted());
   gate.Reset();
   EXPECT_DOUBLE_EQ(gate.committed(), 0.0);
-  EXPECT_TRUE(gate.Admissible());
-}
-
-TEST(BudgetGateTest, ReservationsSettleToCommitOrRefund) {
-  BudgetGate gate(10.0);
-  gate.Reserve(4.0);
-  gate.Reserve(8.0);
-  EXPECT_DOUBLE_EQ(gate.reserved(), 12.0);
-  EXPECT_TRUE(gate.CommitReserved(4.0));
-  EXPECT_FALSE(gate.CommitReserved(8.0));  // 4 + 8 > 10: refused, refunded
-  EXPECT_DOUBLE_EQ(gate.reserved(), 0.0);
-  EXPECT_DOUBLE_EQ(gate.committed(), 4.0);
-  gate.Refund(0.0);
-  EXPECT_DOUBLE_EQ(gate.reserved(), 0.0);
+  EXPECT_FALSE(gate.Exhausted());
 }
 
 TEST(BudgetGateTest, LegacySpendMayOvershootButPreCheckCloses) {
   BudgetGate gate(1.0);
-  EXPECT_TRUE(gate.Admissible());
+  EXPECT_FALSE(gate.Exhausted());
   gate.Spend(3.0);  // legacy FlightOne path
   EXPECT_DOUBLE_EQ(gate.committed(), 3.0);
   EXPECT_TRUE(gate.Exhausted());
@@ -233,14 +220,12 @@ TEST(BudgetGateTest, ConcurrentStrictSpendsNeverExceedCapacity) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 1000; ++i) {
-        gate.Reserve(0.25);
-        if (gate.CommitReserved(0.25)) admitted.fetch_add(1);
+        if (gate.TrySpend(0.25)) admitted.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_LE(gate.committed(), 100.0 + 1e-9);
-  EXPECT_DOUBLE_EQ(gate.reserved(), 0.0);
   EXPECT_EQ(admitted.load(), 400);  // 100.0 / 0.25
 }
 
@@ -348,7 +333,6 @@ TEST(FlightBatchParallelTest, BatchNeverOverspendsBudgetUnderContention) {
   EXPECT_GT(service.budget_used_hours(), 0.0);
   EXPECT_LE(service.budget_used_hours(),
             config.total_budget_machine_hours + 1e-9);
-  EXPECT_DOUBLE_EQ(service.budget_gate().reserved(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
