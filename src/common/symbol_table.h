@@ -1,16 +1,18 @@
 // Process-wide string interning.
 //
-// The compile hot path (catalog lookups, cardinality derivation, memo
-// fingerprints, physical-property keys) used to hash and compare
-// `std::string` table/column names on every probe. A `Symbol` is a dense
-// uint32 id assigned by the global `SymbolTable`; equal strings always map
-// to the same id within a process, so every string compare/hash on the hot
-// path becomes a single integer compare/mix.
+// Every name in the compile path (table paths, columns, aliases, literals,
+// join and group-by keys, output paths, exchange keys) is a `Symbol`: a
+// dense uint32 id assigned by the global `SymbolTable`. The parser interns
+// each identifier once, as it reads it; from there on plans carry only ids,
+// so every name compare/hash is a single integer compare/mix. Text comes
+// back only where it leaves the program, through `SymName` (plan dumps,
+// compile errors, rendered scripts).
 //
 // Ids are assigned in first-intern order and are therefore *not* stable
 // across processes or thread interleavings — nothing may order results by
-// id value or persist ids. All outputs keep rendering through the original
-// strings (or `Resolve`), which preserves byte-identity of every figure.
+// id value, hash ids into output, or persist ids. Outputs render names via
+// `SymName`, which keeps every printed plan and figure byte-identical at
+// any thread count.
 #ifndef QO_COMMON_SYMBOL_TABLE_H_
 #define QO_COMMON_SYMBOL_TABLE_H_
 
@@ -25,15 +27,15 @@ namespace qo {
 
 using Symbol = uint32_t;
 
-/// Sentinel for "not yet interned". Structures that carry a Symbol alongside
-/// their string default to this; `scope::InternPlanSymbols` fills them in.
+/// Sentinel for "no id": what `SymbolTable::Find` returns for a string that
+/// was never interned.
 inline constexpr Symbol kNoSymbol = 0xffffffffu;
 /// Pre-interned constants (registered by the table's constructor, in order).
 inline constexpr Symbol kSymEmpty = 0;  ///< ""
 inline constexpr Symbol kSymStar = 1;   ///< "*"
 
 /// Append-only, thread-safe intern table. Interning is off the per-probe
-/// hot path (done once per compiled plan / registered catalog); lookups by
+/// hot path (done once per parsed name / registered catalog); lookups by
 /// id take a shared lock only because the deque's block map may grow
 /// concurrently.
 class SymbolTable {
@@ -74,17 +76,6 @@ inline Symbol Sym(std::string_view text) {
 /// Resolves from the global table.
 inline const std::string& SymName(Symbol id) {
   return SymbolTable::Global().Resolve(id);
-}
-
-/// Lazy-intern fallback: uses `sym` when already assigned, otherwise interns
-/// `text`. Lets hot paths accept structures that skipped the intern pass.
-/// Empty text short-circuits to the pre-interned kSymEmpty — optimizer
-/// structures leave unused key/path fields empty, so this skips the table
-/// probe (and its lock) on the most common fallback by far.
-inline Symbol SymOf(Symbol sym, std::string_view text) {
-  if (sym != kNoSymbol) return sym;
-  if (text.empty()) return kSymEmpty;
-  return Sym(text);
 }
 
 }  // namespace qo

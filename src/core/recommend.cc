@@ -194,27 +194,24 @@ std::vector<Recommendation> Recommender::RecommendDay(
   for (size_t job_index = 0; job_index < jobs.size(); ++job_index) {
     const JobFeatures& job = jobs[job_index];
     ++local.jobs;
-    bandit::FeatureVector context =
-        bandit::BuildContextFeatures(job.ToContext());
-    std::vector<bandit::RankableAction> actions = BuildActions(job.span);
-    // Combined-feature cache: one (context x actions) combine per job,
-    // shared (by pointer) across every probe and the acting arm below, and
-    // from there with the Personalizer's event log and trainer.
-    std::vector<std::shared_ptr<const bandit::SparseVector>> combined =
-        bandit::CombineActionSet(context, actions);
+    // One request per job, shared by every probe and the acting arm: only
+    // event_id and explore_uniform change between Rank calls. Its
+    // combined-feature cache holds one (context x actions) combine, shared
+    // (by pointer) with the Personalizer's event log and trainer.
+    bandit::RankRequest request;
+    request.context = bandit::BuildContextFeatures(job.ToContext());
+    request.actions = BuildActions(job.span);
+    request.precombined =
+        bandit::CombineActionSet(request.context, request.actions);
     std::vector<int> span_bits = job.span.Positions();
 
     // --- Logging arm: uniform-at-random, always rewarded. ---
+    request.explore_uniform = true;
     for (int probe_idx = 0; probe_idx < config_.uniform_probes_per_job;
          ++probe_idx) {
-      bandit::RankRequest log_request;
-      log_request.event_id = "u_" + std::to_string(day) + "_" +
-                             std::to_string(probe_idx) + "_" + job.row.job_id;
-      log_request.context = context;
-      log_request.actions = actions;
-      log_request.explore_uniform = true;
-      log_request.precombined = combined;
-      auto log_rank = personalizer_->Rank(log_request);
+      request.event_id = "u_" + std::to_string(day) + "_" +
+                         std::to_string(probe_idx) + "_" + job.row.job_id;
+      auto log_rank = personalizer_->Rank(request);
       if (log_rank.ok()) {
         int rule = RuleIdOfAction(span_bits, log_rank->chosen_index);
         Recommendation probe = evaluate(job_index, job, rule);
@@ -236,14 +233,9 @@ std::vector<Recommendation> Recommender::RecommendDay(
     }
 
     // --- Acting arm: learned policy (or uniform for the random baseline). ---
-    bandit::RankRequest act_request;
-    act_request.event_id =
-        "g_" + std::to_string(day) + "_" + job.row.job_id;
-    act_request.context = std::move(context);
-    act_request.actions = std::move(actions);
-    act_request.explore_uniform = !config_.use_contextual_bandit;
-    act_request.precombined = std::move(combined);
-    auto act_rank = personalizer_->Rank(act_request);
+    request.event_id = "g_" + std::to_string(day) + "_" + job.row.job_id;
+    request.explore_uniform = !config_.use_contextual_bandit;
+    auto act_rank = personalizer_->Rank(request);
     if (!act_rank.ok()) continue;
     int rule = RuleIdOfAction(span_bits, act_rank->chosen_index);
     if (rule < 0) {

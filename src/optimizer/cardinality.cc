@@ -27,17 +27,16 @@ RelStats StatsDeriver::Scan(Symbol table_path,
     // Unregistered input: assume a small table so compilation can proceed.
     out.rows = 1000.0;
     for (const auto& col : schema.columns) {
-      out.ndv[SymOf(col.sym, col.name)] = 100.0;
+      out.ndv[col.name] = 100.0;
     }
     return out;
   }
   const scope::TableStats& t = *stats.value();
   out.rows = mode_ == StatsMode::kTrue ? t.true_rows : t.est_rows;
   for (const auto& col : schema.columns) {
-    Symbol col_sym = SymOf(col.sym, col.name);
-    const scope::ColumnStats& cs = catalog_.LookupColumn(table_path, col_sym);
+    const scope::ColumnStats& cs = catalog_.LookupColumn(table_path, col.name);
     double ndv = mode_ == StatsMode::kTrue ? cs.true_ndv : cs.est_ndv;
-    out.ndv[col_sym] = CapNdv(ndv, out.rows);
+    out.ndv[col.name] = CapNdv(ndv, out.rows);
   }
   return out;
 }
@@ -48,7 +47,7 @@ double StatsDeriver::PredicateSelectivity(const scope::Predicate& pred,
     return pred.true_selectivity;
   }
   // Textbook heuristics (System R defaults), using the mode's NDV.
-  double ndv = std::max(1.0, input.NdvOf(scope::ColumnSymOf(pred)));
+  double ndv = std::max(1.0, input.NdvOf(pred.column));
   switch (pred.op) {
     case scope::CompareOp::kEq:
       return 1.0 / ndv;
@@ -82,12 +81,11 @@ RelStats StatsDeriver::Project(
   RelStats out;
   out.rows = input.rows;
   for (const auto& item : projections) {
-    Symbol col_sym = scope::ColumnSymOf(item);
-    if (col_sym == kSymStar) {
+    if (item.column == kSymStar) {
       out.ndv = input.ndv;
       continue;
     }
-    out.ndv[scope::OutputSymOf(item)] = input.NdvOf(col_sym);
+    out.ndv[item.output] = input.NdvOf(item.column);
   }
   return out;
 }
@@ -153,7 +151,7 @@ RelStats StatsDeriver::Aggregate(
     out.ndv[g] = CapNdv(input.NdvOf(g), out.rows);
   }
   for (const auto& item : aggs) {
-    out.ndv[scope::OutputSymOf(item)] = out.rows;
+    out.ndv[item.output] = out.rows;
   }
   return out;
 }

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -37,29 +36,25 @@ struct PhysProp {
     kSingleton,  ///< single partition
   };
   Kind kind = Kind::kAny;
-  std::string key;            ///< rendered into exchange_key (display only)
-  Symbol key_sym = kSymEmpty; ///< identity used for hashing/equality
+  Symbol key = kSymEmpty;   ///< hash key; becomes the exchange_key
   int partitions_hint = 0;  ///< consumer partitions for kBroadcast requests
 
-  static PhysProp Any() { return {Kind::kAny, "", kSymEmpty, 0}; }
-  static PhysProp Random() { return {Kind::kRandom, "", kSymEmpty, 0}; }
-  static PhysProp Hash(std::string k, Symbol s) {
-    return {Kind::kHash, std::move(k), s, 0};
-  }
+  static PhysProp Any() { return {Kind::kAny, kSymEmpty, 0}; }
+  static PhysProp Random() { return {Kind::kRandom, kSymEmpty, 0}; }
+  static PhysProp Hash(Symbol k) { return {Kind::kHash, k, 0}; }
   static PhysProp Broadcast(int consumers) {
-    return {Kind::kBroadcast, "", kSymEmpty, consumers};
+    return {Kind::kBroadcast, kSymEmpty, consumers};
   }
-  static PhysProp Singleton() { return {Kind::kSingleton, "", kSymEmpty, 0}; }
+  static PhysProp Singleton() { return {Kind::kSingleton, kSymEmpty, 0}; }
 
   uint64_t HashValue() const {
-    // Injective pack of (kind, partitions_hint, key_sym): unlike the old
-    // byte-wise string hash, distinct properties can never collide in the
-    // winners table.
+    // Injective pack of (kind, partitions_hint, key): distinct properties
+    // can never collide in the winners table.
     return (static_cast<uint64_t>(kind) << 56) |
            (static_cast<uint64_t>(static_cast<uint32_t>(partitions_hint) &
                                   0xffffffu)
             << 32) |
-           static_cast<uint64_t>(key_sym);
+           static_cast<uint64_t>(key);
   }
 
   /// True if a delivered property satisfies this requirement.
@@ -68,8 +63,7 @@ struct PhysProp {
       case Kind::kAny:
         return true;
       case Kind::kHash:
-        return (delivered.kind == Kind::kHash &&
-                delivered.key_sym == key_sym) ||
+        return (delivered.kind == Kind::kHash && delivered.key == key) ||
                delivered.kind == Kind::kSingleton;
       case Kind::kSingleton:
         return delivered.kind == Kind::kSingleton;
@@ -190,20 +184,18 @@ class Normalizer {
     std::vector<Predicate> translated;
     for (const Predicate& p : filter.predicates) {
       const SelectItem* source = nullptr;
-      Symbol pred_sym = scope::ColumnSymOf(p);
       for (const SelectItem& item : project.projections) {
-        if (scope::OutputSymOf(item) == pred_sym) {
+        if (item.output == p.column) {
           source = &item;
           break;
         }
       }
-      if (source == nullptr || source->column.empty() ||
-          !input.HasColumn(scope::ColumnSymOf(*source))) {
+      if (source == nullptr || source->column == kSymEmpty ||
+          !input.HasColumn(source->column)) {
         return id;
       }
       Predicate q = p;
       q.column = source->column;
-      q.column_sym = scope::ColumnSymOf(*source);
       translated.push_back(std::move(q));
     }
     LogicalNode new_filter;
@@ -225,11 +217,10 @@ class Normalizer {
     const Schema& right = plan_->node(join.children[1]).schema;
     std::vector<Predicate> to_left, to_right, rest;
     for (const Predicate& p : filter.predicates) {
-      Symbol pred_sym = scope::ColumnSymOf(p);
-      if (left.HasColumn(pred_sym) &&
+      if (left.HasColumn(p.column) &&
           Enabled(rules::kFilterPushdownIntoJoinLeft)) {
         to_left.push_back(p);
-      } else if (right.HasColumn(pred_sym) &&
+      } else if (right.HasColumn(p.column) &&
                  Enabled(rules::kFilterPushdownIntoJoinRight)) {
         to_right.push_back(p);
       } else {
@@ -296,21 +287,15 @@ class Normalizer {
     std::vector<SelectItem> merged_items;
     for (const SelectItem& item : outer.projections) {
       const SelectItem* source = nullptr;
-      Symbol item_sym = scope::ColumnSymOf(item);
       for (const SelectItem& in_item : inner.projections) {
-        if (scope::OutputSymOf(in_item) == item_sym) {
+        if (in_item.output == item.column) {
           source = &in_item;
           break;
         }
       }
-      if (source == nullptr || source->column.empty()) return id;
-      SelectItem m;
-      m.column = source->column;
-      m.column_sym = scope::ColumnSymOf(*source);
-      m.alias = item.OutputName();
-      m.alias_sym = scope::OutputSymOf(item);
-      m.out_sym = m.alias.empty() ? m.column_sym : m.alias_sym;
-      merged_items.push_back(std::move(m));
+      if (source == nullptr || source->column == kSymEmpty) return id;
+      merged_items.emplace_back(scope::AggFunc::kNone, source->column,
+                                item.output);
     }
     LogicalNode merged = outer;
     merged.children = {inner.children[0]};
@@ -339,38 +324,35 @@ class Normalizer {
     std::unordered_map<int, std::unordered_set<Symbol>> required;
     for (int root : plan_->roots) {
       for (const auto& c : plan_->node(root).schema.columns) {
-        required[root].insert(c.sym);
+        required[root].insert(c.name);
       }
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const LogicalNode& n = plan_->node(*it);
       std::unordered_set<Symbol>& req = required[*it];
       // Columns this node itself consumes.
-      for (const Predicate& p : n.predicates) {
-        req.insert(scope::ColumnSymOf(p));
-      }
+      for (const Predicate& p : n.predicates) req.insert(p.column);
       for (const SelectItem& s : n.projections) {
-        Symbol col_sym = scope::ColumnSymOf(s);
-        if (col_sym != kSymStar) req.insert(col_sym);
+        if (s.column != kSymStar) req.insert(s.column);
       }
-      for (Symbol g : n.group_by_syms) req.insert(g);
+      for (Symbol g : n.group_by) req.insert(g);
       if (n.kind == LogicalOpKind::kJoin) {
-        req.insert(n.left_key_sym);
-        req.insert(n.right_key_sym);
+        req.insert(n.left_key);
+        req.insert(n.right_key);
       }
       for (int c : n.children) {
         const Schema& cs = plan_->node(c).schema;
         for (const auto& col : cs.columns) {
-          bool needed = req.count(col.sym) > 0;
+          bool needed = req.count(col.name) > 0;
           // Projections / aggregates cut the dependency chain; other
           // operators pass requirements through.
           if (n.kind == LogicalOpKind::kFilter ||
               n.kind == LogicalOpKind::kUnionAll ||
               n.kind == LogicalOpKind::kOutput ||
               n.kind == LogicalOpKind::kJoin) {
-            if (needed) required[c].insert(col.sym);
+            if (needed) required[c].insert(col.name);
           } else if (needed) {
-            required[c].insert(col.sym);
+            required[c].insert(col.name);
           }
         }
         // Node-consumed columns also flow to whichever child has them.
@@ -396,7 +378,7 @@ class Normalizer {
         const auto& req = required[c];
         std::vector<scope::Column> kept;
         for (const auto& col : plan_->node(c).schema.columns) {
-          if (req.count(col.sym) > 0) kept.push_back(col);
+          if (req.count(col.name) > 0) kept.push_back(col);
         }
         if (kept.empty() ||
             kept.size() >= plan_->node(c).schema.columns.size()) {
@@ -415,12 +397,7 @@ class Normalizer {
         proj.kind = LogicalOpKind::kProject;
         proj.children = {c};
         for (const auto& col : kept) {
-          SelectItem item;
-          item.column = col.name;
-          item.column_sym = col.sym;
-          item.alias_sym = kSymEmpty;
-          item.out_sym = col.sym;
-          proj.projections.push_back(std::move(item));
+          proj.projections.emplace_back(scope::AggFunc::kNone, col.name);
           proj.schema.columns.push_back(col);
         }
         int proj_id = plan_->AddNode(std::move(proj));
@@ -456,66 +433,45 @@ class Normalizer {
 struct MExpr {
   LogicalOpKind kind = LogicalOpKind::kScan;
   std::vector<int> children;  ///< group ids
-  std::string table_path;
-  Symbol table_sym = kNoSymbol;
+  Symbol table_path = kSymEmpty;
   std::vector<Predicate> predicates;
   std::vector<SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::vector<Symbol> group_by_syms;
-  std::string left_key;
-  std::string right_key;
-  Symbol left_key_sym = kNoSymbol;
-  Symbol right_key_sym = kNoSymbol;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;
-  std::string output_path;
+  Symbol output_path = kSymEmpty;
   bool partial_agg = false;  ///< local pre-aggregation (eager agg)
   BitVector256 derivation;   ///< transformation rules that produced this expr
   uint32_t applied = 0;      ///< transformation-rule bitmask already tried
 
-  /// Structural identity hash over interned ids — replaces the old string
-  /// key. Field counts are chained in as separators so adjacent lists can't
-  /// alias. A 64-bit collision within one group's handful of exprs
-  /// (~2^-64 per pair) would only drop a duplicate alternative, never
-  /// corrupt a plan.
+  /// Structural identity hash over interned ids. Field counts are chained
+  /// in as separators so adjacent lists can't alias. A 64-bit collision
+  /// within one group's handful of exprs (~2^-64 per pair) would only drop
+  /// a duplicate alternative, never corrupt a plan.
   uint64_t Fingerprint() const {
     uint64_t h = HashU64(static_cast<uint64_t>(kind), 0x9e3779b97f4a7c15ULL);
     h = HashU64(children.size(), h);
     for (int c : children) h = HashU64(static_cast<uint64_t>(c), h);
-    h = HashU64(SymOf(table_sym, table_path), h);
-    h = HashU64(SymOf(left_key_sym, left_key), h);
-    h = HashU64(SymOf(right_key_sym, right_key), h);
+    h = HashU64(table_path, h);
+    h = HashU64(left_key, h);
+    h = HashU64(right_key, h);
     h = HashU64(partial_agg ? 1 : 0, h);
     h = HashU64(predicates.size(), h);
     for (const Predicate& p : predicates) {
-      h = HashU64(scope::ColumnSymOf(p), h);
+      h = HashU64(p.column, h);
       h = HashU64(static_cast<uint64_t>(p.op), h);
-      h = HashU64(p.literal_sym != kNoSymbol ? p.literal_sym : Sym(p.literal),
-                  h);
+      h = HashU64(p.literal, h);
     }
     h = HashU64(projections.size(), h);
     for (const SelectItem& s : projections) {
       h = HashU64(static_cast<uint64_t>(s.agg), h);
-      h = HashU64(scope::ColumnSymOf(s), h);
-      h = HashU64(SymOf(s.alias_sym, s.alias), h);
+      h = HashU64(s.column, h);
+      h = HashU64(s.alias, h);
     }
     h = HashU64(group_by.size(), h);
-    if (group_by_syms.size() == group_by.size()) {
-      // Maintained syms: hash in place, no temporary vector per call.
-      for (Symbol g : group_by_syms) h = HashU64(g, h);
-    } else {
-      for (const std::string& g : group_by) h = HashU64(Sym(g), h);
-    }
+    for (Symbol g : group_by) h = HashU64(g, h);
     return MixHash(h);
-  }
-
-  /// group_by as interned ids; interns lazily when the syms were not
-  /// maintained (hand-built plans in tests).
-  std::vector<Symbol> GroupBySymsResolved() const {
-    if (group_by_syms.size() == group_by.size()) return group_by_syms;
-    std::vector<Symbol> out;
-    out.reserve(group_by.size());
-    for (const std::string& g : group_by) out.push_back(Sym(g));
-    return out;
   }
 };
 
@@ -579,8 +535,6 @@ class MemoOptimizer {
     QO_RETURN_IF_ERROR(config_.Validate());
     auto norm = std::make_shared<NormalizedPlan>();
     norm->plan = input;  // normalization mutates a copy
-    // Defensive for hand-built plans: no-op when the compiler interned.
-    scope::InternPlanSymbols(&norm->plan);
     {
       Normalizer normalizer(&norm->plan, config_);
       norm->fired = normalizer.Run();
@@ -596,7 +550,7 @@ class MemoOptimizer {
     config_.TrackConsulted(post_sink);
     RegisterScanSchemas(norm.plan);
     // One up-front block for the candidate arena: typical searches stay
-    // under this, so AddNode never reallocates (PhysicalNode is string- and
+    // under this, so AddNode never reallocates (PhysicalNode is
     // vector-heavy; doubling growth moved every candidate ~log N times).
     scratch_.nodes.reserve(128);
 
@@ -643,15 +597,11 @@ class MemoOptimizer {
     MExpr expr;
     expr.kind = n.kind;
     expr.table_path = n.table_path;
-    expr.table_sym = n.table_sym;
     expr.predicates = n.predicates;
     expr.projections = n.projections;
     expr.group_by = n.group_by;
-    expr.group_by_syms = n.group_by_syms;
     expr.left_key = n.left_key;
     expr.right_key = n.right_key;
-    expr.left_key_sym = n.left_key_sym;
-    expr.right_key_sym = n.right_key_sym;
     expr.true_fanout = n.true_fanout;
     expr.output_path = n.output_path;
     for (int c : n.children) {
@@ -681,8 +631,7 @@ class MemoOptimizer {
     };
     switch (e.kind) {
       case LogicalOpKind::kScan: {
-        RelStats s =
-            deriver.Scan(SymOf(e.table_sym, e.table_path), SchemaOfScan(e));
+        RelStats s = deriver.Scan(e.table_path, SchemaOfScan(e));
         if (!e.predicates.empty()) s = deriver.Filter(s, e.predicates);
         return s;
       }
@@ -691,18 +640,14 @@ class MemoOptimizer {
       case LogicalOpKind::kProject:
         return deriver.Project(child(0), e.projections);
       case LogicalOpKind::kJoin:
-        return deriver.Join(child(0), child(1),
-                            SymOf(e.left_key_sym, e.left_key),
-                            SymOf(e.right_key_sym, e.right_key),
+        return deriver.Join(child(0), child(1), e.left_key, e.right_key,
                             e.true_fanout);
       case LogicalOpKind::kAggregate:
         if (e.partial_agg) {
           int parts = ChoosePartitions(child(0).rows * 64.0);
-          return deriver.PartialAggregate(child(0), e.GroupBySymsResolved(),
-                                          parts);
+          return deriver.PartialAggregate(child(0), e.group_by, parts);
         }
-        return deriver.Aggregate(child(0), e.GroupBySymsResolved(),
-                                 e.projections);
+        return deriver.Aggregate(child(0), e.group_by, e.projections);
       case LogicalOpKind::kUnionAll:
         return deriver.UnionAll(child(0), child(1));
       case LogicalOpKind::kOutput:
@@ -714,7 +659,7 @@ class MemoOptimizer {
   // Scans derive stats from their full extracted schema (before embedded
   // predicates); the group schema already equals it.
   Schema SchemaOfScan(const MExpr& e) const {
-    auto it = scan_schema_.find(SymOf(e.table_sym, e.table_path));
+    auto it = scan_schema_.find(e.table_path);
     return it != scan_schema_.end() ? it->second : Schema{};
   }
 
@@ -724,7 +669,7 @@ class MemoOptimizer {
   void RegisterScanSchemas(const LogicalPlan& plan) {
     for (const auto& n : plan.nodes) {
       if (n.kind == LogicalOpKind::kScan) {
-        scan_schema_[SymOf(n.table_sym, n.table_path)] = n.schema;
+        scan_schema_[n.table_path] = n.schema;
       }
     }
   }
@@ -778,7 +723,6 @@ class MemoOptimizer {
     MExpr swapped = e;
     std::swap(swapped.children[0], swapped.children[1]);
     std::swap(swapped.left_key, swapped.right_key);
-    std::swap(swapped.left_key_sym, swapped.right_key_sym);
     // Preserve ground-truth output rows: rows = L*f = R*f'.
     double l_rows = groups_[e.children[0]].tru.rows;
     double r_rows = std::max(1.0, groups_[e.children[1]].tru.rows);
@@ -801,22 +745,14 @@ class MemoOptimizer {
       int a_gid = j2.children[0];
       int b_gid = j2.children[1];
       // The key joining to C must come from B.
-      if (!groups_[b_gid].schema->HasColumn(
-              SymOf(e.left_key_sym, e.left_key))) {
-        continue;
-      }
-      if (!groups_[a_gid].schema->HasColumn(
-              SymOf(j2.left_key_sym, j2.left_key))) {
-        continue;
-      }
+      if (!groups_[b_gid].schema->HasColumn(e.left_key)) continue;
+      if (!groups_[a_gid].schema->HasColumn(j2.left_key)) continue;
       // inner = B join C.
       MExpr inner;
       inner.kind = LogicalOpKind::kJoin;
       inner.children = {b_gid, e.children[1]};
       inner.left_key = e.left_key;
       inner.right_key = e.right_key;
-      inner.left_key_sym = e.left_key_sym;
-      inner.right_key_sym = e.right_key_sym;
       inner.true_fanout = e.true_fanout;
       inner.derivation = e.derivation | j2.derivation;
       inner.derivation.Set(rules::kJoinAssociativity);
@@ -829,8 +765,6 @@ class MemoOptimizer {
       outer.children = {a_gid, inner_gid};
       outer.left_key = j2.left_key;
       outer.right_key = j2.right_key;
-      outer.left_key_sym = j2.left_key_sym;
-      outer.right_key_sym = j2.right_key_sym;
       outer.true_fanout = j2.true_fanout * e.true_fanout;
       outer.derivation = e.derivation | j2.derivation;
       outer.derivation.Set(rules::kJoinAssociativity);
@@ -852,25 +786,20 @@ class MemoOptimizer {
     if (AlreadyApplied(gid, i, tx)) return;
     MarkApplied(gid, i, tx);
     const MExpr& e = groups_[gid].exprs[i];
-    std::vector<Symbol> e_group_syms = e.GroupBySymsResolved();
     int child_gid = e.children[0];
     for (const MExpr* joinp : CollectPatternExprs(child_gid,
                                                   LogicalOpKind::kJoin)) {
       const MExpr& join = *joinp;
       int side_gid = join.children[left_side ? 0 : 1];
       const Schema& side_schema = *groups_[side_gid].schema;
-      const std::string& join_key = left_side ? join.left_key : join.right_key;
-      Symbol join_key_sym = left_side ? SymOf(join.left_key_sym, join.left_key)
-                                      : SymOf(join.right_key_sym,
-                                              join.right_key);
+      const Symbol join_key = left_side ? join.left_key : join.right_key;
       // All grouping keys and aggregate inputs must come from this side.
       bool applicable = true;
-      for (Symbol g : e_group_syms) {
+      for (Symbol g : e.group_by) {
         if (!side_schema.HasColumn(g)) applicable = false;
       }
       for (const SelectItem& item : e.projections) {
-        Symbol col_sym = scope::ColumnSymOf(item);
-        if (col_sym != kSymStar && !side_schema.HasColumn(col_sym)) {
+        if (item.column != kSymStar && !side_schema.HasColumn(item.column)) {
           applicable = false;
         }
       }
@@ -881,27 +810,22 @@ class MemoOptimizer {
       partial.partial_agg = true;
       partial.children = {side_gid};
       partial.group_by = e.group_by;
-      partial.group_by_syms = e_group_syms;
       bool key_in_groups = false;
-      for (Symbol g : e_group_syms) {
-        if (g == join_key_sym) key_in_groups = true;
+      for (Symbol g : e.group_by) {
+        if (g == join_key) key_in_groups = true;
       }
-      if (!key_in_groups) {
-        partial.group_by.push_back(join_key);
-        partial.group_by_syms.push_back(join_key_sym);
-      }
+      if (!key_in_groups) partial.group_by.push_back(join_key);
       partial.projections = e.projections;
       partial.derivation = e.derivation | join.derivation;
       partial.derivation.Set(rule);
       Schema partial_schema;
       for (const auto& col : side_schema.columns) {
-        Symbol col_sym = SymOf(col.sym, col.name);
-        bool keep = col_sym == join_key_sym;
-        for (Symbol g : e_group_syms) {
-          if (g == col_sym) keep = true;
+        bool keep = col.name == join_key;
+        for (Symbol g : e.group_by) {
+          if (g == col.name) keep = true;
         }
         for (const SelectItem& item : e.projections) {
-          if (scope::ColumnSymOf(item) == col_sym) keep = true;
+          if (item.column == col.name) keep = true;
         }
         if (keep) partial_schema.columns.push_back(col);
       }
@@ -957,7 +881,7 @@ class MemoOptimizer {
   static Schema ConcatSchemas(const Schema& l, const Schema& r) {
     Schema out = l;
     for (const auto& c : r.columns) {
-      if (!out.HasColumn(SymOf(c.sym, c.name))) out.columns.push_back(c);
+      if (!out.HasColumn(c.name)) out.columns.push_back(c);
     }
     return out;
   }
@@ -967,8 +891,8 @@ class MemoOptimizer {
   static bool IsPureProject(const MExpr& e) {
     if (e.kind != LogicalOpKind::kProject) return false;
     for (const SelectItem& item : e.projections) {
-      if (item.agg != scope::AggFunc::kNone || !item.alias.empty() ||
-          item.column == "*") {
+      if (item.agg != scope::AggFunc::kNone || item.alias != kSymEmpty ||
+          item.column == kSymStar) {
         return false;
       }
     }
@@ -1072,7 +996,7 @@ class MemoOptimizer {
     const PhysicalNode& child = scratch_.node(input_phys);
     PhysOpKind kind;
     int partitions;
-    std::string key;
+    Symbol key = kSymEmpty;
     switch (prop.kind) {
       case PhysProp::Kind::kHash:
         if (!config_.IsEnabled(rules::kExchangeShuffleImpl)) return -1;
@@ -1143,8 +1067,7 @@ class MemoOptimizer {
         // Parallelism follows the bytes the scan *reads* (the full table),
         // not its possibly-filtered output.
         double table_bytes = est_rows * schema->RowWidthBytes();
-        auto table_stats = catalog_.Lookup(SymOf(expr.table_sym,
-                                                 expr.table_path));
+        auto table_stats = catalog_.Lookup(expr.table_path);
         if (table_stats.ok()) {
           table_bytes = table_stats.value()->est_bytes();
         }
@@ -1177,16 +1100,15 @@ class MemoOptimizer {
           // Translate the key through the projection.
           const SelectItem* source = nullptr;
           for (const SelectItem& item : expr.projections) {
-            if (scope::OutputSymOf(item) == child_req.key_sym &&
+            if (item.output == child_req.key &&
                 item.agg == scope::AggFunc::kNone) {
               source = &item;
             }
           }
-          if (source == nullptr || source->column.empty()) {
+          if (source == nullptr || source->column == kSymEmpty) {
             child_req = PhysProp::Any();  // fall back to enforcer above
           } else {
             child_req.key = source->column;
-            child_req.key_sym = scope::ColumnSymOf(*source);
           }
         }
         Winner child = OptimizeGroup(expr.children[0], child_req, depth + 1);
@@ -1266,20 +1188,15 @@ class MemoOptimizer {
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
 
-    Symbol left_key_sym = SymOf(expr.left_key_sym, expr.left_key);
-    Symbol right_key_sym = SymOf(expr.right_key_sym, expr.right_key);
-
     // Hash join: shuffle both sides on the join keys.
     auto shuffled_join = [&](PhysOpKind kind, int impl_rule) {
       if (!config_.IsEnabled(impl_rule)) return;
       Winner l = OptimizeGroup(expr.children[0],
-                               PhysProp::Hash(expr.left_key, left_key_sym),
-                               depth + 1);
+                               PhysProp::Hash(expr.left_key), depth + 1);
       Winner r = OptimizeGroup(expr.children[1],
-                               PhysProp::Hash(expr.right_key, right_key_sym),
-                               depth + 1);
+                               PhysProp::Hash(expr.right_key), depth + 1);
       if (!l.feasible || !r.feasible) return;
-      PhysProp delivered = PhysProp::Hash(expr.left_key, left_key_sym);
+      PhysProp delivered = PhysProp::Hash(expr.left_key);
       if (!required.SatisfiedBy(delivered)) return;
       Winner w;
       w.feasible = true;
@@ -1361,21 +1278,17 @@ class MemoOptimizer {
       return;
     }
 
+    // Partitioned on the first group key (gathered, for a global aggregate):
+    // what a single-phase aggregate needs from its input, where the
+    // two-phase exchange moves partials, and what every final phase delivers.
     const bool global = expr.group_by.empty();
-    Symbol key_sym =
-        global ? kSymEmpty
-               : (expr.group_by_syms.size() == expr.group_by.size()
-                      ? expr.group_by_syms[0]
-                      : Sym(expr.group_by[0]));
-    PhysProp agg_req = global ? PhysProp::Singleton()
-                              : PhysProp::Hash(expr.group_by[0], key_sym);
-    PhysProp delivered = global ? PhysProp::Singleton()
-                                : PhysProp::Hash(expr.group_by[0], key_sym);
+    const PhysProp delivered = global ? PhysProp::Singleton()
+                                      : PhysProp::Hash(expr.group_by[0]);
 
     // Single-phase hash aggregation: shuffle raw rows to the group keys.
     if (config_.IsEnabled(rules::kHashAggImpl) &&
         required.SatisfiedBy(delivered)) {
-      Winner child = OptimizeGroup(expr.children[0], agg_req, depth + 1);
+      Winner child = OptimizeGroup(expr.children[0], delivered, depth + 1);
       if (child.feasible) {
         Winner w;
         w.feasible = true;
@@ -1393,7 +1306,7 @@ class MemoOptimizer {
     // Stream (sort-based) aggregation.
     if (config_.IsEnabled(rules::kStreamAggImpl) && !global &&
         required.SatisfiedBy(delivered)) {
-      Winner child = OptimizeGroup(expr.children[0], agg_req, depth + 1);
+      Winner child = OptimizeGroup(expr.children[0], delivered, depth + 1);
       if (child.feasible) {
         Winner w;
         w.feasible = true;
@@ -1417,20 +1330,17 @@ class MemoOptimizer {
                                    depth + 1);
       if (!child.feasible) return;
       int child_parts = scratch_.node(child.phys).partitions;
-      std::vector<Symbol> group_syms = expr.GroupBySymsResolved();
       RelStats partial_est = est_.PartialAggregate(
-          groups_[expr.children[0]].est, group_syms, child_parts);
+          groups_[expr.children[0]].est, expr.group_by, child_parts);
       RelStats partial_tru = tru_.PartialAggregate(
-          groups_[expr.children[0]].tru, group_syms, child_parts);
+          groups_[expr.children[0]].tru, expr.group_by, child_parts);
       BitVector256 rules_used = child.rules | expr.derivation;
       rules_used.Set(rules::kTwoPhaseAggregation);
       rules_used.Set(rules::kHashAggImpl);
       int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, expr, gid,
                                  {child.phys}, partial_est.rows,
                                  partial_tru.rows, child_parts, schema);
-      PhysProp move_prop = global ? PhysProp::Singleton()
-                                  : PhysProp::Hash(expr.group_by[0], key_sym);
-      int exchange = MakeExchange(partial, move_prop, gid, &rules_used);
+      int exchange = MakeExchange(partial, delivered, gid, &rules_used);
       if (exchange < 0) return;
       int final_parts = scratch_.node(exchange).partitions;
       int final_agg = MakePhysNode(PhysOpKind::kHashAgg, expr, gid,

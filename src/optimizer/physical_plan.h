@@ -57,15 +57,15 @@ struct PhysicalNode {
   std::shared_ptr<const scope::Schema> schema;
 
   // Payload (meaningful per kind).
-  std::string table_path;
+  Symbol table_path = kSymEmpty;
   std::vector<scope::Predicate> predicates;
   std::vector<scope::SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::string left_key;
-  std::string right_key;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;  ///< ground-truth join fanout (simulator only)
-  std::string output_path;
-  std::string exchange_key;
+  Symbol output_path = kSymEmpty;
+  Symbol exchange_key = kSymEmpty;
 
   // Compile-time annotations.
   double est_rows = 0.0;
@@ -83,9 +83,9 @@ struct PhysicalPlan {
   std::vector<PhysicalNode> nodes;
   std::vector<int> roots;
 
-  /// Takes the node by rvalue: PhysicalNode is string/vector-heavy and
-  /// AddNode runs once per candidate the search ever considers, so the
-  /// by-value extra move was measurable.
+  /// Takes the node by rvalue: PhysicalNode is vector-heavy and AddNode
+  /// runs once per candidate the search ever considers, so the by-value
+  /// extra move was measurable.
   int AddNode(PhysicalNode&& node) {
     node.id = static_cast<int>(nodes.size());
     nodes.push_back(std::move(node));

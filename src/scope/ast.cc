@@ -39,31 +39,40 @@ const char* CompareOpToString(CompareOp op) {
 }
 
 std::string Predicate::ToString() const {
-  return column + " " + CompareOpToString(op) + " " + literal;
+  std::string out = SymName(column);
+  out += ' ';
+  out += CompareOpToString(op);
+  out += ' ';
+  out += SymName(literal);
+  return out;
 }
 
-std::string SelectItem::OutputName() const {
-  if (!alias.empty()) return alias;
-  if (agg != AggFunc::kNone) {
-    return std::string(AggFuncToString(agg)) + "_" + column;
+SelectItem::SelectItem(AggFunc agg, Symbol column, Symbol alias)
+    : agg(agg), column(column), alias(alias), output(alias) {
+  if (alias != kSymEmpty) return;
+  if (agg == AggFunc::kNone) {
+    output = column;
+    return;
   }
-  return column;
-}
-
-Symbol OutputSymOf(const SelectItem& item) {
-  return item.out_sym != kNoSymbol ? item.out_sym : Sym(item.OutputName());
+  std::string name = AggFuncToString(agg);
+  name += '_';
+  name += SymName(column);
+  output = Sym(name);
 }
 
 std::string SelectItem::ToString() const {
   std::string out;
   if (agg != AggFunc::kNone) {
-    out = std::string(AggFuncToString(agg)) + "(" + column + ")";
+    out = AggFuncToString(agg);
+    out += '(';
+    out += SymName(column);
+    out += ')';
   } else {
-    out = column;
+    out = SymName(column);
   }
-  if (!alias.empty()) {
+  if (alias != kSymEmpty) {
     out += " AS ";
-    out += alias;
+    out += SymName(alias);
   }
   return out;
 }

@@ -3,6 +3,8 @@
 // A script ("job") is a sequence of statements. Rowset-producing statements
 // bind a name that later statements can reference, which is how multiple SQL
 // statements are stitched into a single operator DAG by the compiler.
+// Rowset binding names stay strings (they never reach a plan); every other
+// name — paths, columns, aliases, literals — is interned by the parser.
 //
 // Grammar sketch (see parser.cc for the full recursive-descent grammar):
 //
@@ -48,52 +50,39 @@ enum class CompareOp {
 
 const char* CompareOpToString(CompareOp op);
 
-/// A single conjunct `column <op> literal` in a WHERE clause. Literal is kept
-/// as text plus an optional selectivity annotation: the synthetic workload
-/// generator knows the ground-truth selectivity of each predicate and embeds
-/// it as `@sel` so the execution simulator can compute true cardinalities
-/// while the optimizer only sees estimated statistics.
+/// A single conjunct `column <op> literal` in a WHERE clause. The literal is
+/// kept as its interned source text plus an optional selectivity
+/// annotation: the synthetic workload generator knows the ground-truth
+/// selectivity of each predicate and embeds it as `@sel` so the execution
+/// simulator can compute true cardinalities while the optimizer only sees
+/// estimated statistics.
 struct Predicate {
-  std::string column;
+  Symbol column = kSymEmpty;
   CompareOp op = CompareOp::kEq;
-  std::string literal;
+  Symbol literal = kSymEmpty;
   /// Ground-truth fraction of rows passing; < 0 means unknown (the simulator
   /// falls back to catalog heuristics).
   double true_selectivity = -1.0;
-  /// Interned ids of column/literal; filled by InternPlanSymbols.
-  Symbol column_sym = kNoSymbol;
-  Symbol literal_sym = kNoSymbol;
 
   std::string ToString() const;
 };
 
 /// One item of a SELECT list: optional aggregate over a column, with an
-/// optional output alias. `column == "*"` with kNone denotes "all columns";
-/// `column == "*"` with kCount denotes COUNT(*).
+/// optional output alias. `column == kSymStar` with kNone denotes "all
+/// columns"; `column == kSymStar` with kCount denotes COUNT(*).
 struct SelectItem {
-  AggFunc agg = AggFunc::kNone;
-  std::string column;
-  std::string alias;  ///< empty = inherit column name
-  /// Interned ids (InternPlanSymbols): `column`, `alias` (empty -> kSymEmpty)
-  /// and the precomputed OutputName(), so hot-path name matching is an
-  /// integer compare.
-  Symbol column_sym = kNoSymbol;
-  Symbol alias_sym = kNoSymbol;
-  Symbol out_sym = kNoSymbol;
+  /// The one way to build an item: precomputes `output`.
+  SelectItem(AggFunc agg, Symbol column, Symbol alias = kSymEmpty);
 
-  std::string OutputName() const;
+  AggFunc agg = AggFunc::kNone;
+  Symbol column = kSymEmpty;
+  Symbol alias = kSymEmpty;  ///< kSymEmpty = inherit the column name
+  /// The output column name: alias, else "AGG_column" for aggregates, else
+  /// the column. Name matching is one integer compare.
+  Symbol output = kSymEmpty;
+
   std::string ToString() const;
 };
-
-/// Lazy-intern accessors: use the precomputed id when the intern pass ran,
-/// otherwise fall back to interning the string (hand-built AST in tests).
-inline Symbol ColumnSymOf(const SelectItem& item) {
-  return item.column_sym != kNoSymbol ? item.column_sym : Sym(item.column);
-}
-Symbol OutputSymOf(const SelectItem& item);  // intern of OutputName()
-inline Symbol ColumnSymOf(const Predicate& pred) {
-  return pred.column_sym != kNoSymbol ? pred.column_sym : Sym(pred.column);
-}
 
 /// Equi-join clause: `JOIN <rowset> ON <left_col> == <right_col> [@ fanout]`.
 /// The optional `@ fanout` annotation records the ground-truth join fanout
@@ -101,8 +90,8 @@ inline Symbol ColumnSymOf(const Predicate& pred) {
 /// optimizer never reads it. Default 1.0 models a foreign-key join.
 struct JoinClause {
   std::string rowset;
-  std::string left_column;
-  std::string right_column;
+  Symbol left_column = kSymEmpty;
+  Symbol right_column = kSymEmpty;
   double true_fanout = 1.0;
 };
 
@@ -118,7 +107,7 @@ enum class StatementKind {
 struct ExtractStatement {
   std::string target;
   std::vector<Column> columns;
-  std::string input_path;
+  Symbol input_path = kSymEmpty;
 };
 
 /// `rs = SELECT ... FROM src [JOIN r ON a == b]* [WHERE preds] [GROUP BY c,...];`
@@ -128,7 +117,7 @@ struct SelectStatement {
   std::string from;
   std::vector<JoinClause> joins;
   std::vector<Predicate> where;  ///< conjunctive predicates
-  std::vector<std::string> group_by;
+  std::vector<Symbol> group_by;
 };
 
 /// `rs = left UNION ALL right;`
@@ -141,7 +130,7 @@ struct UnionStatement {
 /// `OUTPUT rs TO "path";`
 struct OutputStatement {
   std::string source;
-  std::string output_path;
+  Symbol output_path = kSymEmpty;
 };
 
 /// A single parsed statement (tagged union).

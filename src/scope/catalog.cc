@@ -70,14 +70,6 @@ void Catalog::RegisterTable(const std::string& path, TableStats stats) {
   tables_.push_back(std::move(entry));
 }
 
-Result<const TableStats*> Catalog::Lookup(const std::string& path) const {
-  const InternedTable* t = FindTable(Sym(path));
-  if (t == nullptr) {
-    return Status::NotFound("table not in catalog: " + path);
-  }
-  return &t->stats;
-}
-
 Result<const TableStats*> Catalog::Lookup(Symbol path) const {
   const InternedTable* t = FindTable(path);
   if (t == nullptr) {
@@ -99,11 +91,6 @@ const ColumnStats& Catalog::LookupColumn(Symbol path, Symbol column) const {
   auto it = std::lower_bound(t->col_syms.begin(), t->col_syms.end(), column);
   if (it == t->col_syms.end() || *it != column) return kDefaultColumnStats;
   return t->col_stats[static_cast<size_t>(it - t->col_syms.begin())];
-}
-
-const ColumnStats& Catalog::LookupColumn(const std::string& path,
-                                         const std::string& column) const {
-  return LookupColumn(Sym(path), Sym(column));
 }
 
 }  // namespace qo::scope

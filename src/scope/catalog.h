@@ -10,10 +10,10 @@
 // Storage is interned: paths and column names are resolved to global
 // `Symbol` ids at registration, tables live in a dense vector indexed by an
 // id->slot array, and per-table column stats live in sym-sorted parallel
-// vectors. The compile hot path (`Lookup(Symbol)` / `LookupColumn(Symbol,
-// Symbol)`) therefore does integer array reads instead of
-// `unordered_map<std::string>` probes; the string overloads survive for
-// registration-time and diagnostic callers.
+// vectors. Every lookup takes the ids plans carry (`Lookup(Symbol)`,
+// `LookupColumn(Symbol, Symbol)`), so it is an integer array read. Strings
+// enter only at registration: `RegisterTable` and `TableStats::columns` are
+// the input format.
 #ifndef QO_SCOPE_CATALOG_H_
 #define QO_SCOPE_CATALOG_H_
 
@@ -51,27 +51,19 @@ class Catalog {
   /// Registers stats for a path, replacing any previous entry.
   void RegisterTable(const std::string& path, TableStats stats);
 
-  /// Looks up stats; NotFound if the path was never registered.
+  /// Looks up stats; NotFound if the path was never registered. One bounds
+  /// check + one array read.
   /// Thread-safety: const read; safe to call concurrently as long as no
   /// thread is calling RegisterTable (the runtime only reads catalogs).
-  Result<const TableStats*> Lookup(const std::string& path) const;
-
-  /// Interned-id lookup: one bounds check + one array read.
   Result<const TableStats*> Lookup(Symbol path) const;
 
-  bool Has(const std::string& path) const {
-    return FindTable(Sym(path)) != nullptr;
-  }
+  bool Has(Symbol path) const { return FindTable(path) != nullptr; }
   size_t size() const { return tables_.size(); }
 
   /// Column stats for `path`.`column`; falls back to a default-constructed
-  /// ColumnStats when the column was never described. The reference stays
-  /// valid until the table is re-registered.
-  const ColumnStats& LookupColumn(const std::string& path,
-                                  const std::string& column) const;
-
-  /// Interned-id column lookup: dense-slot table read plus a search of the
-  /// table's sym-sorted column vector (integer compares only).
+  /// ColumnStats when the column was never described. Dense-slot table read
+  /// plus a search of the table's sym-sorted column vector. The reference
+  /// stays valid until the table is re-registered.
   const ColumnStats& LookupColumn(Symbol path, Symbol column) const;
 
   /// Deterministic content hash over every registered table and column

@@ -60,7 +60,8 @@ class Compiler {
   Status CompileExtract(const Statement& stmt) {
     const ExtractStatement& ex = stmt.extract;
     if (!catalog_.Has(ex.input_path)) {
-      return Status::CompileError("input not in catalog: " + ex.input_path);
+      return Status::CompileError("input not in catalog: " +
+                                  SymName(ex.input_path));
     }
     LogicalNode node;
     node.kind = LogicalOpKind::kScan;
@@ -110,12 +111,12 @@ class Compiler {
       const Schema& ls = plan_.node(current).schema;
       const Schema& rs = plan_.node(right).schema;
       if (!ls.HasColumn(jc.left_column)) {
-        return Status::CompileError("join key '" + jc.left_column +
+        return Status::CompileError("join key '" + SymName(jc.left_column) +
                                     "' not found on left side at line " +
                                     std::to_string(stmt.line));
       }
       if (!rs.HasColumn(jc.right_column)) {
-        return Status::CompileError("join key '" + jc.right_column +
+        return Status::CompileError("join key '" + SymName(jc.right_column) +
                                     "' not found on right side at line " +
                                     std::to_string(stmt.line));
       }
@@ -137,7 +138,8 @@ class Compiler {
       const Schema& schema = plan_.node(current).schema;
       for (const Predicate& p : sel.where) {
         if (!schema.HasColumn(p.column)) {
-          return Status::CompileError("predicate column '" + p.column +
+          return Status::CompileError("predicate column '" +
+                                      SymName(p.column) +
                                       "' not found at line " +
                                       std::to_string(stmt.line));
         }
@@ -158,7 +160,7 @@ class Compiler {
     if (has_agg) {
       QO_ASSIGN_OR_RETURN(int agg_id, BuildAggregate(sel, current, stmt.line));
       current = agg_id;
-    } else if (!(sel.items.size() == 1 && sel.items[0].column == "*")) {
+    } else if (!(sel.items.size() == 1 && sel.items[0].column == kSymStar)) {
       QO_ASSIGN_OR_RETURN(int proj_id, BuildProject(sel, current, stmt.line));
       current = proj_id;
     }
@@ -171,23 +173,22 @@ class Compiler {
     proj.kind = LogicalOpKind::kProject;
     proj.children = {child};
     for (const SelectItem& item : sel.items) {
-      if (item.column == "*") {
+      if (item.column == kSymStar) {
         for (const Column& c : in.columns) {
           proj.schema.columns.push_back(c);
-          SelectItem pass;
-          pass.column = c.name;
-          proj.projections.push_back(pass);
+          proj.projections.emplace_back(AggFunc::kNone, c.name);
         }
         continue;
       }
       int idx = in.FindColumn(item.column);
       if (idx < 0) {
-        return Status::CompileError("projected column '" + item.column +
+        return Status::CompileError("projected column '" +
+                                    SymName(item.column) +
                                     "' not found at line " +
                                     std::to_string(line));
       }
       proj.schema.columns.push_back(
-          Column{item.OutputName(), in.columns[static_cast<size_t>(idx)].type});
+          Column{item.output, in.columns[static_cast<size_t>(idx)].type});
       proj.projections.push_back(item);
     }
     return plan_.AddNode(std::move(proj));
@@ -199,10 +200,10 @@ class Compiler {
     agg.kind = LogicalOpKind::kAggregate;
     agg.children = {child};
     agg.group_by = sel.group_by;
-    for (const std::string& g : sel.group_by) {
+    for (Symbol g : sel.group_by) {
       int idx = in.FindColumn(g);
       if (idx < 0) {
-        return Status::CompileError("GROUP BY column '" + g +
+        return Status::CompileError("GROUP BY column '" + SymName(g) +
                                     "' not found at line " +
                                     std::to_string(line));
       }
@@ -211,32 +212,33 @@ class Compiler {
     for (const SelectItem& item : sel.items) {
       if (item.agg == AggFunc::kNone) {
         // Plain columns in an aggregate select must be group-by keys.
-        if (item.column == "*") {
+        if (item.column == kSymStar) {
           return Status::CompileError(
               "'*' not allowed with GROUP BY at line " + std::to_string(line));
         }
         bool is_key = false;
-        for (const std::string& g : sel.group_by) {
+        for (Symbol g : sel.group_by) {
           if (g == item.column) is_key = true;
         }
         if (!is_key) {
-          return Status::CompileError("column '" + item.column +
+          return Status::CompileError("column '" + SymName(item.column) +
                                       "' must appear in GROUP BY at line " +
                                       std::to_string(line));
         }
         continue;  // already in schema via group_by
       }
-      if (item.column != "*") {
+      if (item.column != kSymStar) {
         int idx = in.FindColumn(item.column);
         if (idx < 0) {
-          return Status::CompileError("aggregated column '" + item.column +
+          return Status::CompileError("aggregated column '" +
+                                      SymName(item.column) +
                                       "' not found at line " +
                                       std::to_string(line));
         }
       }
       ColumnType out_type = ColumnType::kDouble;
       if (item.agg == AggFunc::kCount) out_type = ColumnType::kLong;
-      agg.schema.columns.push_back(Column{item.OutputName(), out_type});
+      agg.schema.columns.push_back(Column{item.output, out_type});
       agg.projections.push_back(item);
     }
     if (agg.projections.empty() && agg.group_by.empty()) {
@@ -256,11 +258,7 @@ class Compiler {
 Result<LogicalPlan> CompileScript(const Script& script,
                                   const Catalog& catalog) {
   Compiler compiler(script, catalog);
-  auto plan = compiler.Compile();
-  // Intern once per compile so every downstream consumer (optimizer,
-  // cardinality, caches) works with integer ids.
-  if (plan.ok()) InternPlanSymbols(&plan.value());
-  return plan;
+  return compiler.Compile();
 }
 
 Result<LogicalPlan> CompileSource(const std::string& source,

@@ -40,30 +40,20 @@ struct LogicalNode {
   std::vector<int> children;
   Schema schema;
 
-  std::string table_path;
+  Symbol table_path = kSymEmpty;
   std::vector<Predicate> predicates;
   std::vector<SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::string left_key;
-  std::string right_key;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;  ///< ground-truth join fanout (simulator only)
-  std::string output_path;
-
-  /// Interned ids of the string payloads above, filled by InternPlanSymbols.
-  /// The strings stay authoritative for rendering/diagnostics; the optimizer
-  /// hot path reads only the ids.
-  Symbol table_sym = kNoSymbol;
-  Symbol left_key_sym = kNoSymbol;
-  Symbol right_key_sym = kNoSymbol;
-  std::vector<Symbol> group_by_syms;
+  Symbol output_path = kSymEmpty;
 };
 
 /// Arena-allocated logical DAG. Node ids index into `nodes`.
 struct LogicalPlan {
   std::vector<LogicalNode> nodes;
   std::vector<int> roots;  ///< ids of kOutput nodes, in script order
-  /// Set by InternPlanSymbols; lets repeated intern passes return early.
-  bool symbols_interned = false;
 
   /// Appends a node, assigning its id. Children must already exist.
   int AddNode(LogicalNode&& node) {
@@ -82,15 +72,6 @@ struct LogicalPlan {
   /// Multi-line indented dump for debugging / golden tests.
   std::string ToString() const;
 };
-
-/// Fills every Symbol field in the plan (node payloads, schema columns,
-/// predicates, projections) from the global SymbolTable. Idempotent and
-/// cheap on re-entry; the compiler runs it once per compiled script and the
-/// optimizer runs it defensively on hand-built plans.
-void InternPlanSymbols(LogicalPlan* plan);
-
-/// Interns the Symbol fields of one SelectItem in place.
-void InternSelectItem(SelectItem* item);
 
 }  // namespace qo::scope
 

@@ -73,11 +73,17 @@ class Parser {
     }
     return Advance().text;
   }
-  Result<std::string> ExpectString() {
+  /// An identifier naming a column or alias, interned as it is read.
+  Result<Symbol> ExpectName() {
+    QO_ASSIGN_OR_RETURN(std::string text, ExpectIdentifier());
+    return Sym(text);
+  }
+  /// A string literal naming a path, interned as it is read.
+  Result<Symbol> ExpectPath() {
     if (Peek().t->kind != TokenKind::kString) {
       return Errorf("expected string literal");
     }
-    return Advance().text;
+    return Sym(Advance().text);
   }
 
   Status Errorf(const std::string& msg) {
@@ -94,7 +100,7 @@ class Parser {
       stmt.kind = StatementKind::kOutput;
       QO_ASSIGN_OR_RETURN(stmt.output.source, ExpectIdentifier());
       QO_RETURN_IF_ERROR(ExpectKeyword("TO"));
-      QO_ASSIGN_OR_RETURN(stmt.output.output_path, ExpectString());
+      QO_ASSIGN_OR_RETURN(stmt.output.output_path, ExpectPath());
       QO_RETURN_IF_ERROR(ExpectSymbol(";"));
       return stmt;
     }
@@ -107,7 +113,7 @@ class Parser {
       stmt.extract.target = target;
       QO_RETURN_IF_ERROR(ParseExtractColumns(&stmt.extract.columns));
       QO_RETURN_IF_ERROR(ExpectKeyword("FROM"));
-      QO_ASSIGN_OR_RETURN(stmt.extract.input_path, ExpectString());
+      QO_ASSIGN_OR_RETURN(stmt.extract.input_path, ExpectPath());
       QO_RETURN_IF_ERROR(ExpectSymbol(";"));
       return stmt;
     }
@@ -135,13 +141,11 @@ class Parser {
 
   Status ParseExtractColumns(std::vector<Column>* out) {
     while (true) {
-      auto name = ExpectIdentifier();
-      if (!name.ok()) return name.status();
+      Column col;
+      QO_ASSIGN_OR_RETURN(col.name, ExpectName());
       QO_RETURN_IF_ERROR(ExpectSymbol(":"));
       auto type_name = ExpectIdentifier();
       if (!type_name.ok()) return type_name.status();
-      Column col;
-      col.name = std::move(name).value();
       if (!ParseColumnType(type_name.value(), &col.type)) {
         return Errorf("unknown type '" + type_name.value() + "'");
       }
@@ -155,31 +159,29 @@ class Parser {
   Status ParseSelectBody(SelectStatement* sel) {
     // Select list.
     while (true) {
-      SelectItem item;
-      if (MatchSymbol("*")) {
-        item.column = "*";
-      } else {
+      AggFunc agg = AggFunc::kNone;
+      Symbol column = kSymStar;
+      if (!MatchSymbol("*")) {
         auto word = ExpectIdentifier();
         if (!word.ok()) return word.status();
         std::string text = std::move(word).value();
-        AggFunc agg;
-        if (IsAggName(text, &agg) && Peek().t->IsSymbol("(")) {
+        AggFunc named;
+        if (IsAggName(text, &named) && Peek().t->IsSymbol("(")) {
           Advance();  // (
-          item.agg = agg;
-          if (MatchSymbol("*")) {
-            item.column = "*";
-          } else {
-            QO_ASSIGN_OR_RETURN(item.column, ExpectIdentifier());
+          agg = named;
+          if (!MatchSymbol("*")) {
+            QO_ASSIGN_OR_RETURN(column, ExpectName());
           }
           QO_RETURN_IF_ERROR(ExpectSymbol(")"));
         } else {
-          item.column = text;
+          column = Sym(text);
         }
       }
+      Symbol alias = kSymEmpty;
       if (MatchKeyword("AS")) {
-        QO_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier());
+        QO_ASSIGN_OR_RETURN(alias, ExpectName());
       }
-      sel->items.push_back(std::move(item));
+      sel->items.emplace_back(agg, column, alias);
       if (!MatchSymbol(",")) break;
     }
     QO_RETURN_IF_ERROR(ExpectKeyword("FROM"));
@@ -189,9 +191,9 @@ class Parser {
       JoinClause jc;
       QO_ASSIGN_OR_RETURN(jc.rowset, ExpectIdentifier());
       QO_RETURN_IF_ERROR(ExpectKeyword("ON"));
-      QO_ASSIGN_OR_RETURN(jc.left_column, ExpectIdentifier());
+      QO_ASSIGN_OR_RETURN(jc.left_column, ExpectName());
       QO_RETURN_IF_ERROR(ExpectSymbol("=="));
-      QO_ASSIGN_OR_RETURN(jc.right_column, ExpectIdentifier());
+      QO_ASSIGN_OR_RETURN(jc.right_column, ExpectName());
       if (MatchSymbol("@")) {
         if (Peek().t->kind != TokenKind::kNumber) {
           return Errorf("expected fanout number after '@'");
@@ -207,7 +209,7 @@ class Parser {
     if (MatchKeyword("WHERE")) {
       while (true) {
         Predicate pred;
-        QO_ASSIGN_OR_RETURN(pred.column, ExpectIdentifier());
+        QO_ASSIGN_OR_RETURN(pred.column, ExpectName());
         QO_RETURN_IF_ERROR(ParseCompareOp(&pred.op));
         QO_RETURN_IF_ERROR(ParseLiteral(&pred.literal));
         if (MatchSymbol("@")) {
@@ -227,8 +229,8 @@ class Parser {
     if (MatchKeyword("GROUP")) {
       QO_RETURN_IF_ERROR(ExpectKeyword("BY"));
       while (true) {
-        QO_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier());
-        sel->group_by.push_back(std::move(col));
+        QO_ASSIGN_OR_RETURN(Symbol col, ExpectName());
+        sel->group_by.push_back(col);
         if (!MatchSymbol(",")) break;
       }
     }
@@ -257,11 +259,11 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseLiteral(std::string* out) {
+  Status ParseLiteral(Symbol* out) {
     const Token& t = *Peek().t;
     if (t.kind == TokenKind::kNumber || t.kind == TokenKind::kString ||
         t.kind == TokenKind::kIdentifier) {
-      *out = Advance().text;
+      *out = Sym(Advance().text);
       return Status::OK();
     }
     return Errorf("expected literal");

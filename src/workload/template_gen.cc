@@ -8,10 +8,8 @@ namespace qo::workload {
 
 namespace {
 
-using scope::Column;
 using scope::ColumnType;
 using scope::CompareOp;
-using scope::SelectItem;
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -58,36 +56,36 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
   std::vector<std::string> key_cols, attr_cols, numeric_cols, groupable_cols;
   for (int j = 0; j < n_dims; ++j) {
     std::string name = "f_key" + std::to_string(j);
-    fact.columns.push_back({name, ColumnType::kLong});
+    fact.columns.push_back({Sym(name), ColumnType::kLong});
     key_cols.push_back(name);
   }
   for (int c = 0; c < n_cols; ++c) {
     std::string name = "f_col" + std::to_string(c);
     double pick = rng.Uniform();
     if (pick < 0.35) {
-      fact.columns.push_back({name, ColumnType::kString});
+      fact.columns.push_back({Sym(name), ColumnType::kString});
       fact.base_ndv[name] = rng.Uniform(10.0, 5.0e4);
       attr_cols.push_back(name);
       groupable_cols.push_back(name);
     } else if (pick < 0.7) {
-      fact.columns.push_back({name, ColumnType::kDouble});
+      fact.columns.push_back({Sym(name), ColumnType::kDouble});
       fact.base_ndv[name] = fact.base_rows / rng.Uniform(2.0, 50.0);
       numeric_cols.push_back(name);
       attr_cols.push_back(name);
     } else {
-      fact.columns.push_back({name, ColumnType::kInt});
+      fact.columns.push_back({Sym(name), ColumnType::kInt});
       fact.base_ndv[name] = rng.Uniform(100.0, 1.0e6);
       attr_cols.push_back(name);
       groupable_cols.push_back(name);
     }
   }
   if (numeric_cols.empty()) {
-    fact.columns.push_back({"f_val", ColumnType::kDouble});
+    fact.columns.push_back({Sym("f_val"), ColumnType::kDouble});
     fact.base_ndv["f_val"] = fact.base_rows / 10.0;
     numeric_cols.push_back("f_val");
   }
   if (groupable_cols.empty()) {
-    fact.columns.push_back({"f_grp", ColumnType::kString});
+    fact.columns.push_back({Sym("f_grp"), ColumnType::kString});
     fact.base_ndv["f_grp"] = rng.Uniform(10.0, 2.0e4);
     groupable_cols.push_back("f_grp");
   }
@@ -101,7 +99,7 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
     dim.base_rows = std::clamp(dim.base_rows, 1000.0, 2.0e8);
     dim.est_bias = rng.LogNormal(0.0, 0.5);
     std::string pk = "d" + std::to_string(j) + "_pk";
-    dim.columns.push_back({pk, ColumnType::kLong});
+    dim.columns.push_back({Sym(pk), ColumnType::kLong});
     dim.base_ndv[pk] = dim.base_rows;  // unique primary key
     const int extra = static_cast<int>(rng.UniformInt(2, 6));
     for (int c = 0; c < extra; ++c) {
@@ -109,8 +107,8 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
       name += std::to_string(j);
       name += "_a";
       name += std::to_string(c);
-      dim.columns.push_back({name, c % 2 == 0 ? ColumnType::kString
-                                              : ColumnType::kDouble});
+      dim.columns.push_back({Sym(name), c % 2 == 0 ? ColumnType::kString
+                                                   : ColumnType::kDouble});
       dim.base_ndv[name] = rng.Uniform(5.0, dim.base_rows);
     }
     // The fact FK references an *active subset* of the dimension — a small
@@ -143,9 +141,7 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
     SelectSpec s;
     s.target = "filtered";
     s.from = chain;
-    SelectItem star;
-    star.column = "*";
-    s.items.push_back(star);
+    s.items.emplace_back(scope::AggFunc::kNone, kSymStar);
     for (int f = 0; f < n_filters && !attr_cols.empty(); ++f) {
       FilterSpec fs;
       fs.column = attr_cols[rng.UniformInt(attr_cols.size())];
@@ -170,9 +166,7 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
     SelectSpec s;
     s.target = "joined";
     s.from = chain;
-    SelectItem star;
-    star.column = "*";
-    s.items.push_back(star);
+    s.items.emplace_back(scope::AggFunc::kNone, kSymStar);
     for (int j = 0; j < n_dims; ++j) {
       JoinSpec js;
       js.rowset = "dim" + std::to_string(j) + "_rs";
@@ -200,27 +194,17 @@ JobTemplate TemplateGenerator::GenerateOne(int id) {
       for (const auto& g : s.group_by) dup = dup || g == col;
       if (dup) continue;
       s.group_by.push_back(col);
-      SelectItem key_item;
-      key_item.column = col;
-      s.items.push_back(std::move(key_item));
+      s.items.emplace_back(scope::AggFunc::kNone, Sym(col));
     }
     if (s.group_by.empty()) {
       s.group_by.push_back(groupable_cols[0]);
-      SelectItem key_item;
-      key_item.column = groupable_cols[0];
-      s.items.push_back(std::move(key_item));
+      s.items.emplace_back(scope::AggFunc::kNone, Sym(groupable_cols[0]));
     }
-    SelectItem sum_item;
-    sum_item.agg = scope::AggFunc::kSum;
-    sum_item.column = numeric_cols[rng.UniformInt(numeric_cols.size())];
-    sum_item.alias = "total";
-    s.items.push_back(std::move(sum_item));
+    s.items.emplace_back(scope::AggFunc::kSum,
+                         Sym(numeric_cols[rng.UniformInt(numeric_cols.size())]),
+                         Sym("total"));
     if (rng.Bernoulli(0.5)) {
-      SelectItem cnt;
-      cnt.agg = scope::AggFunc::kCount;
-      cnt.column = "*";
-      cnt.alias = "cnt";
-      s.items.push_back(std::move(cnt));
+      s.items.emplace_back(scope::AggFunc::kCount, kSymStar, Sym("cnt"));
     }
     t.selects.push_back(std::move(s));
     chain = "aggregated";
@@ -252,7 +236,7 @@ std::string RenderScript(
     s += base + "_rs = EXTRACT ";
     for (size_t i = 0; i < table.columns.size(); ++i) {
       if (i > 0) s += ", ";
-      s += table.columns[i].name;
+      s += SymName(table.columns[i].name);
       s += ":";
       s += scope::ColumnTypeToString(table.columns[i].type);
     }
@@ -328,12 +312,13 @@ JobInstance Instantiate(const JobTemplate& tmpl, int day, int occurrence,
     double scale = true_rows / std::max(1.0, table.base_rows);
     for (const auto& col : table.columns) {
       scope::ColumnStats cs;
-      auto it = table.base_ndv.find(col.name);
+      const std::string& name = SymName(col.name);
+      auto it = table.base_ndv.find(name);
       double base = it != table.base_ndv.end() ? it->second
                                                : table.base_rows / 100.0;
       cs.true_ndv = std::max(1.0, std::min(base * std::sqrt(scale), true_rows));
       cs.est_ndv = std::max(1.0, cs.true_ndv * rng->LogNormal(0.0, 0.45));
-      stats.columns[col.name] = cs;
+      stats.columns[name] = cs;
     }
     inst.catalog.RegisterTable(table.path, std::move(stats));
   }

@@ -532,7 +532,7 @@ TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   ASSERT_TRUE(compiled.ok());
   JobMetrics before = engine.Execute(job, **compiled, 3);
   // Drift: double the fact table on this job's private catalog copy.
-  scope::TableStats fact = *job.catalog.Lookup("fact").value();
+  scope::TableStats fact = *job.catalog.Lookup(Sym("fact")).value();
   fact.true_rows *= 2;
   job.catalog.RegisterTable("fact", fact);
   JobMetrics after = engine.Execute(job, **compiled, 3);

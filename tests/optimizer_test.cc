@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "optimizer/cardinality.h"
@@ -15,6 +17,7 @@
 #include "optimizer/rules.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
+#include "workload/workload.h"
 
 namespace qo::opt {
 namespace {
@@ -106,8 +109,8 @@ scope::Catalog CardCatalog() {
 
 scope::Schema CardSchema() {
   scope::Schema s;
-  s.columns = {{"k", scope::ColumnType::kLong},
-               {"v", scope::ColumnType::kDouble}};
+  s.columns = {{Sym("k"), scope::ColumnType::kLong},
+               {Sym("v"), scope::ColumnType::kDouble}};
   return s;
 }
 
@@ -115,22 +118,22 @@ TEST(CardinalityTest, ScanUsesModeSpecificRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  EXPECT_DOUBLE_EQ(est.Scan("t", CardSchema()).rows, 5000);
-  EXPECT_DOUBLE_EQ(tru.Scan("t", CardSchema()).rows, 10000);
-  EXPECT_DOUBLE_EQ(est.Scan("t", CardSchema()).NdvOf("k"), 80);
-  EXPECT_DOUBLE_EQ(tru.Scan("t", CardSchema()).NdvOf("k"), 100);
+  EXPECT_DOUBLE_EQ(est.Scan(Sym("t"), CardSchema()).rows, 5000);
+  EXPECT_DOUBLE_EQ(tru.Scan(Sym("t"), CardSchema()).rows, 10000);
+  EXPECT_DOUBLE_EQ(est.Scan(Sym("t"), CardSchema()).NdvOf(Sym("k")), 80);
+  EXPECT_DOUBLE_EQ(tru.Scan(Sym("t"), CardSchema()).NdvOf(Sym("k")), 100);
 }
 
 TEST(CardinalityTest, FilterTrueModeUsesAnnotation) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  RelStats in_est = est.Scan("t", CardSchema());
-  RelStats in_tru = tru.Scan("t", CardSchema());
+  RelStats in_est = est.Scan(Sym("t"), CardSchema());
+  RelStats in_tru = tru.Scan(Sym("t"), CardSchema());
   scope::Predicate pred;
-  pred.column = "k";
+  pred.column = Sym("k");
   pred.op = scope::CompareOp::kEq;
-  pred.literal = "5";
+  pred.literal = Sym("5");
   pred.true_selectivity = 0.5;
   // Estimated: 1/ndv_est(k) = 1/80. True: the annotation.
   EXPECT_NEAR(est.Filter(in_est, {pred}).rows, 5000.0 / 80.0, 1e-9);
@@ -140,12 +143,12 @@ TEST(CardinalityTest, FilterTrueModeUsesAnnotation) {
 TEST(CardinalityTest, FilterHeuristicsByOperator) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
+  RelStats in = est.Scan(Sym("t"), CardSchema());
   auto sel_of = [&](scope::CompareOp op) {
     scope::Predicate p;
-    p.column = "k";
+    p.column = Sym("k");
     p.op = op;
-    p.literal = "1";
+    p.literal = Sym("1");
     return est.PredicateSelectivity(p, in);
   };
   EXPECT_NEAR(sel_of(scope::CompareOp::kEq), 1.0 / 80, 1e-12);
@@ -157,11 +160,11 @@ TEST(CardinalityTest, JoinEstimateVsTrueFanout) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  RelStats l_est = est.Scan("t", CardSchema());
-  RelStats l_tru = tru.Scan("t", CardSchema());
+  RelStats l_est = est.Scan(Sym("t"), CardSchema());
+  RelStats l_tru = tru.Scan(Sym("t"), CardSchema());
   // est: |L||R| / max(ndv). true: L * fanout.
-  RelStats j_est = est.Join(l_est, l_est, "k", "k", 2.0);
-  RelStats j_tru = tru.Join(l_tru, l_tru, "k", "k", 2.0);
+  RelStats j_est = est.Join(l_est, l_est, Sym("k"), Sym("k"), 2.0);
+  RelStats j_tru = tru.Join(l_tru, l_tru, Sym("k"), Sym("k"), 2.0);
   EXPECT_NEAR(j_est.rows, 5000.0 * 5000.0 / 80.0, 1e-6);
   EXPECT_NEAR(j_tru.rows, 10000.0 * 2.0, 1e-6);
 }
@@ -169,8 +172,8 @@ TEST(CardinalityTest, JoinEstimateVsTrueFanout) {
 TEST(CardinalityTest, AggregateGroupsCappedByRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
-  RelStats agg = est.Aggregate(in, {"k"}, {});
+  RelStats in = est.Scan(Sym("t"), CardSchema());
+  RelStats agg = est.Aggregate(in, {Sym("k")}, {});
   EXPECT_NEAR(agg.rows, 80.0, 1e-9);  // ndv(k)
   RelStats global = est.Aggregate(in, std::vector<qo::Symbol>{}, {});
   EXPECT_DOUBLE_EQ(global.rows, 1.0);
@@ -179,17 +182,17 @@ TEST(CardinalityTest, AggregateGroupsCappedByRows) {
 TEST(CardinalityTest, PartialAggregateBoundedByGroupsTimesPartitions) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
-  RelStats partial = est.PartialAggregate(in, {"k"}, 10);
+  RelStats in = est.Scan(Sym("t"), CardSchema());
+  RelStats partial = est.PartialAggregate(in, {Sym("k")}, 10);
   EXPECT_NEAR(partial.rows, 800.0, 1e-9);  // 80 groups x 10 partitions
-  RelStats one_part = est.PartialAggregate(in, {"k"}, 1);
+  RelStats one_part = est.PartialAggregate(in, {Sym("k")}, 1);
   EXPECT_NEAR(one_part.rows, 80.0, 1e-9);
 }
 
 TEST(CardinalityTest, UnionAddsRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
+  RelStats in = est.Scan(Sym("t"), CardSchema());
   EXPECT_DOUBLE_EQ(est.UnionAll(in, in).rows, 10000.0);
 }
 
@@ -211,7 +214,7 @@ TEST(CardinalityTest, NdvCapClampsEveryColumnIntoOneToRows) {
     EXPECT_EQ(out.rows, rows);
     std::vector<double> ndvs;
     for (size_t i = 0; i < raw.size(); ++i) {
-      ndvs.push_back(out.NdvOf("cap_c" + std::to_string(i)));
+      ndvs.push_back(out.NdvOf(Sym("cap_c" + std::to_string(i))));
     }
     return ndvs;
   };
@@ -553,6 +556,117 @@ TEST(CrossConfigMemoTest, ThreadCountDoesNotChangeOutputs) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Compile golden: a pinned digest of everything the front end and the
+// optimizer produce for a fixed set of fig10-shaped jobs under every sweep
+// configuration. It pins plan output across changes to how names are
+// represented inside the compile path.
+// ---------------------------------------------------------------------------
+
+/// Per-node rendering of every payload PhysicalPlan::ToString omits.
+std::string PayloadDump(const PhysicalPlan& plan) {
+  std::string out;
+  char buf[192];
+  for (const PhysicalNode& n : plan.nodes) {
+    out += std::to_string(n.id);
+    out += " preds[";
+    for (const scope::Predicate& p : n.predicates) {
+      out += p.ToString();
+      std::snprintf(buf, sizeof(buf), " @%.17g;", p.true_selectivity);
+      out += buf;
+    }
+    out += "] proj[";
+    for (const scope::SelectItem& s : n.projections) {
+      out += s.ToString();
+      out += " -> ";
+      out += SymName(s.output);
+      out += ';';
+    }
+    out += "] by[";
+    for (Symbol g : n.group_by) {
+      out += SymName(g);
+      out += ';';
+    }
+    out += "] out=";
+    out += SymName(n.output_path);
+    out += " schema=";
+    out += n.schema != nullptr ? n.schema->ToString() : std::string("null");
+    std::snprintf(buf, sizeof(buf),
+                  " est=%.17g true=%.17g P=%d local=%.17g fan=%.17g\n",
+                  n.est_rows, n.true_rows, n.partitions, n.local_cost,
+                  n.true_fanout);
+    out += buf;
+  }
+  return out;
+}
+
+/// The first jobs of day 0 of the fig10 workload (seed 2022).
+std::vector<workload::JobInstance> GoldenJobs() {
+  workload::WorkloadDriver driver(
+      {.num_templates = 90, .jobs_per_day = 150, .seed = 2022});
+  std::vector<workload::JobInstance> jobs = driver.DayJobs(0);
+  jobs.resize(48);
+  return jobs;
+}
+
+/// Digest of one compile source: the logical dump, then per config the
+/// output key plus payload dump, or the error Status text.
+uint64_t GoldenDigest(
+    const std::vector<workload::JobInstance>& jobs,
+    const std::function<Result<CompilationOutput>(
+        const workload::JobInstance&, const RuleConfig&)>& compile) {
+  const std::vector<RuleConfig> configs = SweepConfigs();
+  std::string per_job;
+  for (const workload::JobInstance& job : jobs) {
+    std::string all;
+    auto logical = scope::CompileSource(job.script, job.catalog);
+    all += logical.ok() ? logical->ToString() : logical.status().ToString();
+    for (const RuleConfig& config : configs) {
+      auto out = compile(job, config);
+      all += '\n';
+      if (out.ok()) {
+        all += OutputKey(*out);
+        all += '\n';
+        all += PayloadDump(out->plan);
+      } else {
+        all += out.status().ToString();
+      }
+    }
+    per_job += std::to_string(HashString(all));
+    per_job += '\n';
+  }
+  return HashString(per_job);
+}
+
+// Recorded on the build that still carried string twins of every name. Only
+// PayloadDump's field reads may change with the plan representation; an
+// intentional output change updates this value and says why in CHANGES.md.
+constexpr uint64_t kCompileGoldenDigest = 0x7b8517ad5281e894ULL;
+
+TEST(CompileGoldenTest, PlanDumpsMatchPinnedDigest) {
+  const std::vector<workload::JobInstance> jobs = GoldenJobs();
+  // The set must reach every payload kind the dumps render.
+  std::string shapes;
+  for (const workload::JobInstance& job : jobs) shapes += job.script;
+  for (const char* clause : {"JOIN", "WHERE", "GROUP BY", "UNION ALL"}) {
+    EXPECT_NE(shapes.find(clause), std::string::npos) << clause;
+  }
+  const uint64_t fresh = GoldenDigest(
+      jobs, [](const workload::JobInstance& job, const RuleConfig& config)
+                -> Result<CompilationOutput> {
+        QO_ASSIGN_OR_RETURN(scope::LogicalPlan plan,
+                            scope::CompileSource(job.script, job.catalog));
+        return Optimizer(job.catalog, {}).Optimize(plan, config);
+      });
+  EXPECT_EQ(fresh, kCompileGoldenDigest) << std::hex << fresh;
+  engine::ScopeEngine engine;
+  const uint64_t cached = GoldenDigest(
+      jobs, [&](const workload::JobInstance& job, const RuleConfig& config) {
+        return engine.Compile(job, config);
+      });
+  EXPECT_EQ(cached, kCompileGoldenDigest) << std::hex << cached;
+}
+
 TEST(OptimizerPlanTest, TrueRowsUseAnnotationsNotEstimates) {
   scope::Catalog catalog = PlanCatalog();
   auto logical = scope::CompileSource(kPlanScript, catalog);
@@ -562,7 +676,7 @@ TEST(OptimizerPlanTest, TrueRowsUseAnnotationsNotEstimates) {
   ASSERT_TRUE(out.ok());
   // The scan of "fact" must carry est 6e7-ish and true 5e7-ish rows.
   for (const auto& node : out->plan.nodes) {
-    if (node.kind == PhysOpKind::kScan && node.table_path == "fact" &&
+    if (node.kind == PhysOpKind::kScan && node.table_path == Sym("fact") &&
         node.predicates.empty()) {
       EXPECT_DOUBLE_EQ(node.est_rows, 6e7);
       EXPECT_DOUBLE_EQ(node.true_rows, 5e7);

@@ -1,9 +1,17 @@
-// Tests for the SCOPE-like language front end: lexer, parser, compiler.
+// Tests for the SCOPE-like language front end: lexer, parser, compiler, and
+// a deterministic fuzzer over mutated generated scripts.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "scope/compiler.h"
 #include "scope/lexer.h"
 #include "scope/parser.h"
+#include "workload/workload.h"
 
 namespace qo::scope {
 namespace {
@@ -85,9 +93,9 @@ TEST(ParserTest, ParsesExtract) {
   EXPECT_EQ(script->statements[0].kind, StatementKind::kExtract);
   EXPECT_EQ(ex.target, "rs");
   ASSERT_EQ(ex.columns.size(), 3u);
-  EXPECT_EQ(ex.columns[1].name, "b");
+  EXPECT_EQ(SymName(ex.columns[1].name), "b");
   EXPECT_EQ(ex.columns[1].type, ColumnType::kString);
-  EXPECT_EQ(ex.input_path, "path");
+  EXPECT_EQ(SymName(ex.input_path), "path");
 }
 
 TEST(ParserTest, ParsesSelectWithEverything) {
@@ -101,15 +109,15 @@ TEST(ParserTest, ParsesSelectWithEverything) {
   const auto& sel = script->statements[0].select;
   ASSERT_EQ(sel.items.size(), 3u);
   EXPECT_EQ(sel.items[1].agg, AggFunc::kSum);
-  EXPECT_EQ(sel.items[1].alias, "total");
-  EXPECT_EQ(sel.items[2].column, "*");
+  EXPECT_EQ(SymName(sel.items[1].alias), "total");
+  EXPECT_EQ(sel.items[2].column, kSymStar);
   EXPECT_EQ(sel.items[2].agg, AggFunc::kCount);
   ASSERT_EQ(sel.joins.size(), 1u);
   EXPECT_DOUBLE_EQ(sel.joins[0].true_fanout, 1.5);
   ASSERT_EQ(sel.where.size(), 2u);
   EXPECT_DOUBLE_EQ(sel.where[0].true_selectivity, 0.25);
   EXPECT_LT(sel.where[1].true_selectivity, 0.0);  // unannotated
-  EXPECT_EQ(sel.group_by, std::vector<std::string>{"a"});
+  EXPECT_EQ(sel.group_by, std::vector<Symbol>{Sym("a")});
 }
 
 TEST(ParserTest, ParsesUnionAllAndOutput) {
@@ -205,8 +213,8 @@ TEST(CompilerTest, SchemaDerivation) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   const LogicalNode& out = plan->node(plan->roots[0]);
   ASSERT_EQ(out.schema.size(), 2u);
-  EXPECT_EQ(out.schema.columns[0].name, "b");
-  EXPECT_EQ(out.schema.columns[1].name, "total");
+  EXPECT_EQ(SymName(out.schema.columns[0].name), "b");
+  EXPECT_EQ(SymName(out.schema.columns[1].name), "total");
   EXPECT_EQ(out.schema.columns[1].type, ColumnType::kDouble);
 }
 
@@ -282,6 +290,142 @@ TEST(CompilerTest, SelectStarWithoutFilterAliasesSameNode) {
     EXPECT_NE(node.kind, LogicalOpKind::kProject);
     EXPECT_NE(node.kind, LogicalOpKind::kFilter);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic fuzzer: seed-driven mutations of generated scripts. Every
+// mutant must compile or fail with a ParseError/CompileError — never crash —
+// and a repeat call must give the same result. The parser interns every name
+// it reads, so long, empty and non-ASCII names reach the symbol table here.
+// ---------------------------------------------------------------------------
+
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// Token-sized spans of `script`: identifier/number runs and single
+/// punctuation characters (whitespace excluded), as [begin, end) offsets.
+std::vector<std::pair<size_t, size_t>> TokenSpans(const std::string& script) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  for (size_t i = 0; i < script.size();) {
+    if (std::isspace(static_cast<unsigned char>(script[i]))) {
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    if (IsIdentChar(script[i])) {
+      while (end < script.size() && IsIdentChar(script[end])) ++end;
+    }
+    spans.emplace_back(i, end);
+    i = end;
+  }
+  return spans;
+}
+
+/// Replaces every whole-word occurrence of `word` in `script`.
+std::string ReplaceWord(const std::string& script, const std::string& word,
+                        const std::string& with) {
+  std::string out;
+  size_t pos = 0;
+  while (pos < script.size()) {
+    size_t hit = script.find(word, pos);
+    if (hit == std::string::npos) break;
+    const size_t after = hit + word.size();
+    const bool whole = (hit == 0 || !IsIdentChar(script[hit - 1])) &&
+                       (after >= script.size() || !IsIdentChar(script[after]));
+    out.append(script, pos, hit - pos);
+    out += whole ? with : word;
+    pos = after;
+  }
+  out.append(script, pos, std::string::npos);
+  return out;
+}
+
+std::string Mutate(const std::string& script, Rng* rng) {
+  static const std::vector<std::string> kNames = {
+      "",                                   // empty
+      std::string(4096, 'n'),               // long
+      "\xc3\xa9t\xc3\xa9",                  // non-ASCII (UTF-8)
+      "\xff\xfe\x80",                       // invalid UTF-8
+      "col\xe5\x90\x8d",                    // ASCII prefix, CJK tail
+  };
+  std::string out = script;
+  const std::vector<std::pair<size_t, size_t>> spans = TokenSpans(script);
+  switch (rng->UniformInt(uint64_t{5})) {
+    case 0: {  // byte flips
+      const int flips = 1 + static_cast<int>(rng->UniformInt(uint64_t{3}));
+      for (int f = 0; f < flips; ++f) {
+        out[rng->UniformInt(out.size())] =
+            static_cast<char>(rng->UniformInt(uint64_t{256}));
+      }
+      return out;
+    }
+    case 1:  // truncation
+      out.resize(rng->UniformInt(out.size() + 1));
+      return out;
+    case 2: {  // token deletion
+      const auto [begin, end] = spans[rng->UniformInt(spans.size())];
+      out.erase(begin, end - begin);
+      return out;
+    }
+    case 3: {  // token duplication
+      const auto [begin, end] = spans[rng->UniformInt(spans.size())];
+      out.insert(end, " " + script.substr(begin, end - begin));
+      return out;
+    }
+    default: {  // identifier replacement: one occurrence, or every one
+      std::vector<std::pair<size_t, size_t>> idents;
+      for (const auto& span : spans) {
+        if (std::isalpha(static_cast<unsigned char>(script[span.first]))) {
+          idents.push_back(span);
+        }
+      }
+      const auto [begin, end] = idents[rng->UniformInt(idents.size())];
+      const std::string& name = kNames[rng->UniformInt(kNames.size())];
+      if (rng->Bernoulli(0.5)) {
+        return ReplaceWord(script, script.substr(begin, end - begin), name);
+      }
+      out.replace(begin, end - begin, name);
+      return out;
+    }
+  }
+}
+
+TEST(ParserFuzzTest, MutantsCompileOrFailCleanlyAndRepeat) {
+  constexpr int kJobs = 12;
+  constexpr int kMutantsPerJob = 250;
+  workload::WorkloadDriver driver(
+      {.num_templates = 24, .jobs_per_day = kJobs, .seed = 0xf022});
+  const std::vector<workload::JobInstance> jobs = driver.DayJobs(0);
+  Rng rng(0x5eed0f022ULL);
+  int ok = 0, parse_errors = 0, compile_errors = 0;
+  for (const workload::JobInstance& job : jobs) {
+    ASSERT_TRUE(CompileSource(job.script, job.catalog).ok()) << job.script;
+    for (int m = 0; m < kMutantsPerJob; ++m) {
+      const std::string mutant = Mutate(job.script, &rng);
+      auto first = CompileSource(mutant, job.catalog);
+      auto again = CompileSource(mutant, job.catalog);
+      if (first.ok()) {
+        ++ok;
+        ASSERT_TRUE(again.ok()) << again.status() << "\n" << mutant;
+        EXPECT_EQ(first->ToString(), again->ToString()) << mutant;
+        continue;
+      }
+      const Status& status = first.status();
+      if (status.code() == StatusCode::kParseError) {
+        ++parse_errors;
+      } else {
+        EXPECT_TRUE(status.IsCompileError()) << status << "\n" << mutant;
+        ++compile_errors;
+      }
+      EXPECT_EQ(status.ToString(), again.status().ToString()) << mutant;
+    }
+  }
+  // The mutants must reach every outcome, or the fuzzer tests less than it
+  // claims.
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(parse_errors, 0);
+  EXPECT_GT(compile_errors, 0);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(InstantiateTest, ScriptParsesAndStatsRegistered) {
   ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << inst.script;
   EXPECT_EQ(inst.catalog.size(), tmpl.tables.size());
   for (const auto& table : tmpl.tables) {
-    EXPECT_TRUE(inst.catalog.Has(table.path));
+    EXPECT_TRUE(inst.catalog.Has(Sym(table.path)));
   }
 }
 
@@ -84,8 +84,8 @@ TEST(InstantiateTest, OccurrencesDriftButKeepStructure) {
   ASSERT_TRUE(pa.ok() && pb.ok());
   EXPECT_EQ(pa->statements.size(), pb->statements.size());
   // ...different input cardinalities (drifted stats).
-  auto sa = a.catalog.Lookup(tmpl.tables[0].path);
-  auto sb = b.catalog.Lookup(tmpl.tables[0].path);
+  auto sa = a.catalog.Lookup(Sym(tmpl.tables[0].path));
+  auto sb = b.catalog.Lookup(Sym(tmpl.tables[0].path));
   ASSERT_TRUE(sa.ok() && sb.ok());
   EXPECT_NE(sa.value()->true_rows, sb.value()->true_rows);
 }
@@ -97,7 +97,7 @@ TEST(InstantiateTest, EstimatesAreBiasedNotExact) {
   JobInstance inst = Instantiate(tmpl, 0, 0, &rng);
   int differing = 0;
   for (const auto& table : tmpl.tables) {
-    auto stats = inst.catalog.Lookup(table.path);
+    auto stats = inst.catalog.Lookup(Sym(table.path));
     ASSERT_TRUE(stats.ok());
     if (std::abs(stats.value()->est_rows - stats.value()->true_rows) >
         0.01 * stats.value()->true_rows) {
