@@ -15,7 +15,9 @@
 // Observability: every subsystem counts into the metrics registry (cache,
 // memo, exec profiles, bandit, flighting, SIS, guardrails, service) beside
 // the phase timers, so the guardrail block and the closing summary both
-// print from registry snapshots. Each day also appends a JSONL run-report line to QO_OBS_REPORT
+// print from registry snapshots; the full registry dump (timer quantiles
+// included) goes to stderr, so stdout is deterministic. Each day also
+// appends a JSONL run-report line to QO_OBS_REPORT
 // (default: daily_pipeline_report.jsonl), and QO_TRACE=<path> additionally
 // writes a Chrome-trace span dump loadable in Perfetto.
 //
@@ -182,11 +184,11 @@ int main(int argc, char** argv) {
   // together: cache/memo/exec-profile absorption, the bandit's
   // combined-feature cache and retention health, flighting budget, SIS hint
   // lifecycle, the advisor service's request counters and the phase latency
-  // quantiles. Gated on the metrics switch: QO_METRICS=0 keeps stdout free
-  // of timer-dependent lines (what the CI chaos-determinism diff relies on).
+  // quantiles. It goes to stderr: its latency quantiles come from timers, so
+  // stdout stays byte-identical run to run and at any thread count.
   if (obs::MetricsEnabled()) {
-    std::printf("\n%s",
-                obs::RunReportText(obs::Registry::Get().Snapshot()).c_str());
+    std::fprintf(stderr, "\n%s",
+                 obs::RunReportText(obs::Registry::Get().Snapshot()).c_str());
   }
   if (report_writer != nullptr) {
     std::printf("\nper-day run report appended to %s\n",

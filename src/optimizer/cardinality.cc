@@ -22,6 +22,7 @@ void CapNdvAll(NdvMap* ndv, double rows) {
 RelStats StatsDeriver::Scan(Symbol table_path,
                             const scope::Schema& schema) const {
   RelStats out;
+  out.ndv.Reserve(schema.columns.size());
   auto stats = catalog_.Lookup(table_path);
   if (!stats.ok()) {
     // Unregistered input: assume a small table so compilation can proceed.
@@ -80,6 +81,11 @@ RelStats StatsDeriver::Project(
     const std::vector<scope::SelectItem>& projections) const {
   RelStats out;
   out.rows = input.rows;
+  size_t columns = projections.size();
+  for (const auto& item : projections) {
+    if (item.column == kSymStar) columns += input.ndv.size();
+  }
+  out.ndv.Reserve(columns);
   for (const auto& item : projections) {
     if (item.column == kSymStar) {
       out.ndv = input.ndv;
@@ -147,6 +153,7 @@ RelStats StatsDeriver::Aggregate(
     groups = std::pow(groups, mode_ == StatsMode::kEstimated ? 1.0 : 0.9);
     out.rows = std::min(groups, input.rows);
   }
+  out.ndv.Reserve(group_by.size() + aggs.size());
   for (Symbol g : group_by) {
     out.ndv[g] = CapNdv(input.NdvOf(g), out.rows);
   }

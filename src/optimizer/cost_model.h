@@ -8,6 +8,8 @@
 #ifndef QO_OPTIMIZER_COST_MODEL_H_
 #define QO_OPTIMIZER_COST_MODEL_H_
 
+#include <array>
+
 #include "optimizer/physical_plan.h"
 
 namespace qo::opt {
@@ -31,6 +33,19 @@ struct CostParams {
   double partition_overhead = 0.05;  ///< fixed startup cost per partition
 };
 
+/// What one operator's local cost depends on: its kind, parallelism and
+/// estimated output, and the estimated outputs of its children in order (a
+/// leaf or a one-child operator leaves the rest zero; no operator has more
+/// than two children).
+struct CostInputs {
+  PhysOpKind kind = PhysOpKind::kScan;
+  int partitions = 1;
+  double est_rows = 0.0;
+  double est_bytes = 0.0;
+  std::array<double, 2> child_rows{};
+  std::array<double, 2> child_bytes{};
+};
+
 /// Computes per-operator local costs.
 class CostModel {
  public:
@@ -39,11 +54,8 @@ class CostModel {
 
   const CostParams& params() const { return params_; }
 
-  /// Estimated local cost of `node`. `child_rows` / `child_bytes` are the
-  /// estimated output sizes of the children in order (empty for leaves).
-  double LocalCost(const PhysicalNode& node,
-                   const std::vector<double>& child_rows,
-                   const std::vector<double>& child_bytes) const;
+  /// Estimated local cost of one operator.
+  double LocalCost(const CostInputs& in) const;
 
  private:
   CostParams params_;

@@ -1,12 +1,12 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <deque>
-#include <functional>
+#include <initializer_list>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -85,7 +85,7 @@ struct PhysProp {
 class Normalizer {
  public:
   Normalizer(LogicalPlan* plan, const RuleConfig& config)
-      : plan_(plan), config_(config) {}
+      : plan_(plan), config_(config), memo_(plan->size(), -1) {}
 
   /// Runs all enabled rewrites to fixpoint; returns the bit set of rules
   /// that actually changed the plan.
@@ -98,24 +98,25 @@ class Normalizer {
  private:
   bool Enabled(int rule) const { return config_.IsEnabled(rule); }
 
+  /// Rewrites the input node `id` bottom-up. The node is copied only when
+  /// a child changed; rules never modify a node in place, they append.
   int Rewrite(int id) {
-    auto it = memo_.find(id);
-    if (it != memo_.end()) return it->second;
-    LogicalNode node = plan_->node(id);  // copy: children may be replaced
-    for (int& c : node.children) c = Rewrite(c);
-    int current = plan_->AddNode(std::move(node));
-    // Apply local rules until none fires (bounded for safety).
-    for (int iter = 0; iter < 16; ++iter) {
-      int next = ApplyLocalRules(current);
-      if (next == current) break;
-      current = next;
+    if (memo_[id] >= 0) return memo_[id];
+    int current = id;
+    const size_t n_children = plan_->node(id).children.size();
+    for (size_t i = 0; i < n_children; ++i) {
+      const int child = plan_->node(id).children[i];
+      const int rewritten = Rewrite(child);
+      if (rewritten == child) continue;
+      if (current == id) current = plan_->AddNode(LogicalNode(plan_->node(id)));
+      plan_->node(current).children[i] = rewritten;
     }
+    current = RunLocalFixpoint(current);
     memo_[id] = current;
     return current;
   }
 
-  /// Applies local rules to a *newly created* node until fixpoint (new
-  /// nodes are not covered by the id-based memo in Rewrite).
+  /// Applies local rules to a node until none fires (bounded for safety).
   int RunLocalFixpoint(int id) {
     for (int iter = 0; iter < 16; ++iter) {
       int next = ApplyLocalRules(id);
@@ -320,44 +321,29 @@ class Normalizer {
     bool join_on = has_join && Enabled(rules::kProjectPruneBelowJoin);
     bool agg_on = has_agg && Enabled(rules::kProjectPruneBelowAgg);
     if (!join_on && !agg_on) return;
-    // Required column sets, propagated from the roots down.
-    std::unordered_map<int, std::unordered_set<Symbol>> required;
-    for (int root : plan_->roots) {
-      for (const auto& c : plan_->node(root).schema.columns) {
-        required[root].insert(c.name);
-      }
+    // Which schema columns of each node some consumer requires: one flag
+    // per column, node `id`'s flags starting at offset[id]. Flags flow from
+    // the roots down, parents before children.
+    std::vector<int> offset(plan_->size(), -1);
+    size_t total = 0;
+    for (int id : order) {
+      offset[id] = static_cast<int>(total);
+      total += plan_->node(id).schema.columns.size();
     }
+    std::vector<char> marked(total, 0);
+    for (int root : plan_->roots) {
+      std::fill_n(marked.begin() + offset[root],
+                  plan_->node(root).schema.columns.size(), 1);
+    }
+    std::vector<Symbol> names;
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const LogicalNode& n = plan_->node(*it);
-      std::unordered_set<Symbol>& req = required[*it];
-      // Columns this node itself consumes.
-      for (const Predicate& p : n.predicates) req.insert(p.column);
-      for (const SelectItem& s : n.projections) {
-        if (s.column != kSymStar) req.insert(s.column);
-      }
-      for (Symbol g : n.group_by) req.insert(g);
-      if (n.kind == LogicalOpKind::kJoin) {
-        req.insert(n.left_key);
-        req.insert(n.right_key);
-      }
-      for (int c : n.children) {
-        const Schema& cs = plan_->node(c).schema;
-        for (const auto& col : cs.columns) {
-          bool needed = req.count(col.name) > 0;
-          // Projections / aggregates cut the dependency chain; other
-          // operators pass requirements through.
-          if (n.kind == LogicalOpKind::kFilter ||
-              n.kind == LogicalOpKind::kUnionAll ||
-              n.kind == LogicalOpKind::kOutput ||
-              n.kind == LogicalOpKind::kJoin) {
-            if (needed) required[c].insert(col.name);
-          } else if (needed) {
-            required[c].insert(col.name);
+      RequiredNames(*it, offset, marked, &names);
+      for (int c : plan_->node(*it).children) {
+        const std::vector<scope::Column>& cols = plan_->node(c).schema.columns;
+        for (size_t j = 0; j < cols.size(); ++j) {
+          if (std::binary_search(names.begin(), names.end(), cols[j].name)) {
+            marked[offset[c] + j] = 1;
           }
-        }
-        // Node-consumed columns also flow to whichever child has them.
-        for (Symbol col : std::vector<Symbol>(req.begin(), req.end())) {
-          if (cs.HasColumn(col)) required[c].insert(col);
         }
       }
     }
@@ -375,28 +361,29 @@ class Normalizer {
       for (size_t ci = 0; ci < n_children; ++ci) {
         int c = plan_->node(id).children[ci];
         if (plan_->node(c).kind == LogicalOpKind::kProject) continue;
-        const auto& req = required[c];
-        std::vector<scope::Column> kept;
-        for (const auto& col : plan_->node(c).schema.columns) {
-          if (req.count(col.name) > 0) kept.push_back(col);
-        }
-        if (kept.empty() ||
-            kept.size() >= plan_->node(c).schema.columns.size()) {
-          continue;
-        }
-        // Prune only when it meaningfully narrows rows; marginal projects
-        // cost more CPU than the width they save.
+        RequiredNames(c, offset, marked, &names);
+        auto required = [&names](const scope::Column& col) {
+          return std::binary_search(names.begin(), names.end(), col.name);
+        };
+        const Schema& schema = plan_->node(c).schema;
+        size_t kept = 0;
         double kept_width = 0.0;
-        for (const auto& col : kept) {
+        for (const auto& col : schema.columns) {
+          if (!required(col)) continue;
+          ++kept;
           kept_width += scope::ColumnTypeWidth(col.type);
         }
-        if (kept_width > 0.75 * plan_->node(c).schema.RowWidthBytes()) {
-          continue;
-        }
+        if (kept == 0 || kept >= schema.columns.size()) continue;
+        // Prune only when it meaningfully narrows rows; marginal projects
+        // cost more CPU than the width they save.
+        if (kept_width > 0.75 * schema.RowWidthBytes()) continue;
         LogicalNode proj;
         proj.kind = LogicalOpKind::kProject;
         proj.children = {c};
-        for (const auto& col : kept) {
+        proj.projections.reserve(kept);
+        proj.schema.columns.reserve(kept);
+        for (const auto& col : schema.columns) {
+          if (!required(col)) continue;
           proj.projections.emplace_back(scope::AggFunc::kNone, col.name);
           proj.schema.columns.push_back(col);
         }
@@ -408,35 +395,122 @@ class Normalizer {
     }
   }
 
+  /// Sorted names node `id` requires of its inputs: its flagged schema
+  /// columns plus every column it consumes itself.
+  void RequiredNames(int id, const std::vector<int>& offset,
+                     const std::vector<char>& marked,
+                     std::vector<Symbol>* out) const {
+    const LogicalNode& n = plan_->node(id);
+    out->clear();
+    for (size_t j = 0; j < n.schema.columns.size(); ++j) {
+      if (marked[offset[id] + j]) out->push_back(n.schema.columns[j].name);
+    }
+    for (const Predicate& p : n.predicates) out->push_back(p.column);
+    for (const SelectItem& item : n.projections) {
+      if (item.column != kSymStar) out->push_back(item.column);
+    }
+    for (Symbol g : n.group_by) out->push_back(g);
+    if (n.kind == LogicalOpKind::kJoin) {
+      out->push_back(n.left_key);
+      out->push_back(n.right_key);
+    }
+    std::sort(out->begin(), out->end());
+  }
+
+  /// Depth-first post-order from the roots: children before parents.
   std::vector<int> TopologicalOrder() const {
     std::vector<int> order;
-    std::unordered_set<int> seen;
-    std::function<void(int)> visit = [&](int id) {
-      if (!seen.insert(id).second) return;
-      for (int c : plan_->node(id).children) visit(c);
-      order.push_back(id);
-    };
-    for (int r : plan_->roots) visit(r);
-    return order;  // children before parents
+    std::vector<char> seen(plan_->size(), 0);
+    std::vector<std::pair<int, size_t>> stack;  // (node, next child)
+    for (int r : plan_->roots) {
+      if (seen[r]) continue;
+      seen[r] = 1;
+      stack.emplace_back(r, 0);
+      while (!stack.empty()) {
+        const auto [id, next] = stack.back();
+        const std::vector<int>& children = plan_->node(id).children;
+        if (next == children.size()) {
+          order.push_back(id);
+          stack.pop_back();
+          continue;
+        }
+        ++stack.back().second;
+        const int c = children[next];
+        if (!seen[c]) {
+          seen[c] = 1;
+          stack.emplace_back(c, 0);
+        }
+      }
+    }
+    return order;
   }
 
   LogicalPlan* plan_;
   const RuleConfig& config_;
   BitVector256 fired_;
-  std::unordered_map<int, int> memo_;
+  /// Input node id -> its rewritten node id (-1 until rewritten).
+  std::vector<int> memo_;
 };
 
 // ---------------------------------------------------------------------------
 // Memo structures.
 // ---------------------------------------------------------------------------
 
+/// Up to two child ids, stored inline: no operator has more.
+struct ChildIds {
+  int ids[2] = {-1, -1};
+  int count = 0;
+
+  ChildIds() = default;
+  ChildIds(std::initializer_list<int> list) {
+    for (int id : list) push_back(id);
+  }
+  void push_back(int id) {
+    assert(count < 2);
+    ids[count++] = id;
+  }
+  size_t size() const { return static_cast<size_t>(count); }
+  int operator[](size_t i) const { return ids[i]; }
+  int& operator[](size_t i) { return ids[i]; }
+  const int* begin() const { return ids; }
+  const int* end() const { return ids + count; }
+};
+
+/// Append-only storage in fixed-capacity blocks: appending never moves an
+/// element, so the search holds references across the recursive calls that
+/// grow the memo, and a typical search allocates one block.
+template <typename T, size_t kBlock>
+class BlockArena {
+ public:
+  int Append(T&& value) {
+    if (blocks_.empty() || blocks_.back().size() == kBlock) {
+      blocks_.emplace_back();
+      blocks_.back().reserve(kBlock);
+    }
+    blocks_.back().push_back(std::move(value));
+    return size_++;
+  }
+  T& operator[](int i) { return blocks_[i / kBlock][i % kBlock]; }
+  const T& operator[](int i) const { return blocks_[i / kBlock][i % kBlock]; }
+
+ private:
+  std::vector<std::vector<T>> blocks_;
+  int size_ = 0;
+};
+
+const std::vector<Predicate> kNoPredicates;
+const std::vector<SelectItem> kNoProjections;
+const std::vector<Symbol> kNoGroupBy;
+
 struct MExpr {
   LogicalOpKind kind = LogicalOpKind::kScan;
-  std::vector<int> children;  ///< group ids
+  ChildIds children;  ///< group ids
   Symbol table_path = kSymEmpty;
-  std::vector<Predicate> predicates;
-  std::vector<SelectItem> projections;
-  std::vector<Symbol> group_by;
+  /// Payload lists, viewed in place: they live in the normalized plan's
+  /// nodes or in the memo's own lists, both of which outlive the search.
+  const std::vector<Predicate>* predicates = &kNoPredicates;
+  const std::vector<SelectItem>* projections = &kNoProjections;
+  const std::vector<Symbol>* group_by = &kNoGroupBy;
   Symbol left_key = kSymEmpty;
   Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;
@@ -444,6 +518,8 @@ struct MExpr {
   bool partial_agg = false;  ///< local pre-aggregation (eager agg)
   BitVector256 derivation;   ///< transformation rules that produced this expr
   uint32_t applied = 0;      ///< transformation-rule bitmask already tried
+  uint64_t fingerprint = 0;  ///< Fingerprint(), set when it joins a group
+  int next = -1;             ///< next expr of the same group in the arena
 
   /// Structural identity hash over interned ids. Field counts are chained
   /// in as separators so adjacent lists can't alias. A 64-bit collision
@@ -457,20 +533,20 @@ struct MExpr {
     h = HashU64(left_key, h);
     h = HashU64(right_key, h);
     h = HashU64(partial_agg ? 1 : 0, h);
-    h = HashU64(predicates.size(), h);
-    for (const Predicate& p : predicates) {
+    h = HashU64(predicates->size(), h);
+    for (const Predicate& p : *predicates) {
       h = HashU64(p.column, h);
       h = HashU64(static_cast<uint64_t>(p.op), h);
       h = HashU64(p.literal, h);
     }
-    h = HashU64(projections.size(), h);
-    for (const SelectItem& s : projections) {
+    h = HashU64(projections->size(), h);
+    for (const SelectItem& s : *projections) {
       h = HashU64(static_cast<uint64_t>(s.agg), h);
       h = HashU64(s.column, h);
       h = HashU64(s.alias, h);
     }
-    h = HashU64(group_by.size(), h);
-    for (Symbol g : group_by) h = HashU64(g, h);
+    h = HashU64(group_by->size(), h);
+    for (Symbol g : *group_by) h = HashU64(g, h);
     return MixHash(h);
   }
 };
@@ -483,20 +559,48 @@ struct Winner {
   BitVector256 rules;
 };
 
+/// One entry of the memo-wide winners table: the best plan of a group for
+/// one required property, chained to the group's other entries.
+struct WinnerSlot {
+  uint64_t key = 0;  ///< PhysProp::HashValue() of the requirement
+  int next = -1;
+  Winner winner;
+};
+
 struct Group {
-  /// deque: appending alternatives never moves existing exprs, so the
-  /// search holds references across AddExprToGroup instead of deep-copying
-  /// every MExpr it touches.
-  std::deque<MExpr> exprs;
+  /// This group's exprs in the memo's expr arena: `first_expr`, then each
+  /// MExpr::next in insertion order.
+  int first_expr = -1;
+  int last_expr = -1;
+  int num_exprs = 0;
+  /// Head of this group's chain in the winners table.
+  int first_winner = -1;
   /// Output schema, built once in MakeGroup and shared (refcount bump, not
   /// column-vector copy) into every PhysicalNode implemented from this
   /// group. Never null for a constructed group.
   std::shared_ptr<const Schema> schema;
+  double row_width = 0.0;  ///< schema->RowWidthBytes()
   RelStats est;
   RelStats tru;
   bool explored = false;
-  std::unordered_map<uint64_t, Winner> winners;
-  std::unordered_set<uint64_t> fingerprints;
+};
+
+/// One physical alternative the search considered. Its payload stays in
+/// the memo: `expr` names the arena expr it implements (-1 for an exchange)
+/// and `group` the memo group whose schema it outputs. Compact turns only
+/// the candidates the final plan keeps into PhysicalNodes.
+struct Candidate {
+  PhysOpKind kind = PhysOpKind::kScan;
+  ChildIds children;  ///< candidate ids
+  int expr = -1;
+  int group = -1;
+  Symbol exchange_key = kSymEmpty;
+  int partitions = 1;
+  double est_rows = 0.0;
+  double est_bytes = 0.0;
+  double true_rows = 0.0;
+  double true_bytes = 0.0;
+  double local_cost = 0.0;
 };
 
 // Local indices for the `applied` bitmask.
@@ -548,22 +652,22 @@ class MemoOptimizer {
   Result<CompilationOutput> RunPostNormalize(const NormalizedPlan& norm,
                                              BitVector256* post_sink) {
     config_.TrackConsulted(post_sink);
-    RegisterScanSchemas(norm.plan);
-    // One up-front block for the candidate arena: typical searches stay
-    // under this, so AddNode never reallocates (PhysicalNode is
-    // vector-heavy; doubling growth moved every candidate ~log N times).
-    scratch_.nodes.reserve(128);
+    // One up-front block each for the candidates and the winners table:
+    // typical searches stay under these.
+    candidates_.reserve(128);
+    winners_.reserve(64);
 
     // Build memo groups from the normalized DAG.
-    std::unordered_map<int, int> node_to_group;
+    std::vector<int> node_to_group(norm.plan.size(), -1);
     std::vector<int> root_groups;
+    root_groups.reserve(norm.plan.roots.size());
     for (int r : norm.plan.roots) {
-      QO_ASSIGN_OR_RETURN(int g, BuildGroup(norm.plan, r, &node_to_group));
-      root_groups.push_back(g);
+      root_groups.push_back(BuildGroup(norm.plan, r, &node_to_group));
     }
 
     // Optimize every output root.
     std::vector<int> root_phys;
+    root_phys.reserve(root_groups.size());
     BitVector256 signature = norm.fired;
     for (int g : root_groups) {
       Winner w = OptimizeGroup(g, PhysProp::Any(), 0);
@@ -589,24 +693,22 @@ class MemoOptimizer {
  private:
   // ----- Memo construction -------------------------------------------------
 
-  Result<int> BuildGroup(const LogicalPlan& plan, int node_id,
-                         std::unordered_map<int, int>* node_to_group) {
-    auto it = node_to_group->find(node_id);
-    if (it != node_to_group->end()) return it->second;
+  int BuildGroup(const LogicalPlan& plan, int node_id,
+                 std::vector<int>* node_to_group) {
+    if ((*node_to_group)[node_id] >= 0) return (*node_to_group)[node_id];
     const LogicalNode& n = plan.node(node_id);
     MExpr expr;
     expr.kind = n.kind;
     expr.table_path = n.table_path;
-    expr.predicates = n.predicates;
-    expr.projections = n.projections;
-    expr.group_by = n.group_by;
+    expr.predicates = &n.predicates;
+    expr.projections = &n.projections;
+    expr.group_by = &n.group_by;
     expr.left_key = n.left_key;
     expr.right_key = n.right_key;
     expr.true_fanout = n.true_fanout;
     expr.output_path = n.output_path;
     for (int c : n.children) {
-      QO_ASSIGN_OR_RETURN(int g, BuildGroup(plan, c, node_to_group));
-      expr.children.push_back(g);
+      expr.children.push_back(BuildGroup(plan, c, node_to_group));
     }
     int gid = MakeGroup(std::move(expr), n.schema);
     (*node_to_group)[node_id] = gid;
@@ -616,38 +718,57 @@ class MemoOptimizer {
   int MakeGroup(MExpr&& expr, Schema schema) {
     Group group;
     group.schema = std::make_shared<const Schema>(std::move(schema));
-    group.est = DeriveStats(expr, est_);
-    group.tru = DeriveStats(expr, tru_);
-    group.fingerprints.insert(expr.Fingerprint());
-    group.exprs.push_back(std::move(expr));
-    groups_.push_back(std::move(group));
-    return static_cast<int>(groups_.size()) - 1;
+    group.row_width = group.schema->RowWidthBytes();
+    group.est = DeriveStats(expr, *group.schema, est_);
+    group.tru = DeriveStats(expr, *group.schema, tru_);
+    const int gid = groups_.Append(std::move(group));
+    const uint64_t fingerprint = expr.Fingerprint();
+    AppendExpr(gid, std::move(expr), fingerprint);
+    return gid;
   }
 
-  RelStats DeriveStats(const MExpr& e, const StatsDeriver& deriver) const {
+  /// Links `expr` in at the end of group `gid`'s expr list.
+  void AppendExpr(int gid, MExpr&& expr, uint64_t fingerprint) {
+    expr.fingerprint = fingerprint;
+    expr.next = -1;
+    const int id = exprs_.Append(std::move(expr));
+    Group& g = groups_[gid];
+    if (g.last_expr >= 0) {
+      exprs_[g.last_expr].next = id;
+    } else {
+      g.first_expr = id;
+    }
+    g.last_expr = id;
+    ++g.num_exprs;
+  }
+
+  /// `schema` is the expr's group schema; a scan derives its stats from it
+  /// (the full extracted schema, before embedded predicates).
+  RelStats DeriveStats(const MExpr& e, const Schema& schema,
+                       const StatsDeriver& deriver) const {
     auto child = [&](size_t i) -> const RelStats& {
       return deriver.mode() == StatsMode::kTrue ? groups_[e.children[i]].tru
                                                 : groups_[e.children[i]].est;
     };
     switch (e.kind) {
       case LogicalOpKind::kScan: {
-        RelStats s = deriver.Scan(e.table_path, SchemaOfScan(e));
-        if (!e.predicates.empty()) s = deriver.Filter(s, e.predicates);
+        RelStats s = deriver.Scan(e.table_path, schema);
+        if (!e.predicates->empty()) s = deriver.Filter(s, *e.predicates);
         return s;
       }
       case LogicalOpKind::kFilter:
-        return deriver.Filter(child(0), e.predicates);
+        return deriver.Filter(child(0), *e.predicates);
       case LogicalOpKind::kProject:
-        return deriver.Project(child(0), e.projections);
+        return deriver.Project(child(0), *e.projections);
       case LogicalOpKind::kJoin:
         return deriver.Join(child(0), child(1), e.left_key, e.right_key,
                             e.true_fanout);
       case LogicalOpKind::kAggregate:
         if (e.partial_agg) {
           int parts = ChoosePartitions(child(0).rows * 64.0);
-          return deriver.PartialAggregate(child(0), e.group_by, parts);
+          return deriver.PartialAggregate(child(0), *e.group_by, parts);
         }
-        return deriver.Aggregate(child(0), e.group_by, e.projections);
+        return deriver.Aggregate(child(0), *e.group_by, *e.projections);
       case LogicalOpKind::kUnionAll:
         return deriver.UnionAll(child(0), child(1));
       case LogicalOpKind::kOutput:
@@ -656,37 +777,19 @@ class MemoOptimizer {
     return RelStats{};
   }
 
-  // Scans derive stats from their full extracted schema (before embedded
-  // predicates); the group schema already equals it.
-  Schema SchemaOfScan(const MExpr& e) const {
-    auto it = scan_schema_.find(e.table_path);
-    return it != scan_schema_.end() ? it->second : Schema{};
-  }
-
-  /// Remembers scan schemas before BuildGroup runs. The normalized arena
-  /// still contains every original scan node (rewrites only append), so
-  /// registering from it is equivalent to registering from the input plan.
-  void RegisterScanSchemas(const LogicalPlan& plan) {
-    for (const auto& n : plan.nodes) {
-      if (n.kind == LogicalOpKind::kScan) {
-        scan_schema_[n.table_path] = n.schema;
-      }
-    }
-  }
   // ----- Exploration --------------------------------------------------------
 
   void ExploreGroup(int gid) {
     if (groups_[gid].explored) return;
     groups_[gid].explored = true;
-    for (size_t i = 0;
-         i < groups_[gid].exprs.size() &&
-         groups_[gid].exprs.size() <
-             static_cast<size_t>(options_.max_exprs_per_group);
-         ++i) {
+    // Exprs the rules append to this group are visited too, until the
+    // group reaches its budget.
+    for (int i = groups_[gid].first_expr;
+         i >= 0 && groups_[gid].num_exprs < options_.max_exprs_per_group;
+         i = exprs_[i].next) {
       // Explore children first so their alternatives are visible to
-      // pattern-matching rules here. Safe by reference: both arenas are
-      // deques, so recursive exploration can append without moving exprs[i].
-      for (int c : groups_[gid].exprs[i].children) ExploreGroup(c);
+      // pattern-matching rules here.
+      for (int c : exprs_[i].children) ExploreGroup(c);
       TryJoinCommute(gid, i);
       TryJoinAssociativity(gid, i);
       TryEagerAggregation(gid, i, /*left_side=*/true);
@@ -695,31 +798,29 @@ class MemoOptimizer {
     }
   }
 
-  bool AlreadyApplied(int gid, size_t i, TransformIndex tx) {
-    return (groups_[gid].exprs[i].applied & (1u << tx)) != 0;
+  bool AlreadyApplied(int i, TransformIndex tx) const {
+    return (exprs_[i].applied & (1u << tx)) != 0;
   }
-  void MarkApplied(int gid, size_t i, TransformIndex tx) {
-    groups_[gid].exprs[i].applied |= (1u << tx);
-  }
+  void MarkApplied(int i, TransformIndex tx) { exprs_[i].applied |= 1u << tx; }
 
   void AddExprToGroup(int gid, MExpr&& expr) {
-    Group& g = groups_[gid];
-    if (g.exprs.size() >= static_cast<size_t>(options_.max_exprs_per_group)) {
-      return;
+    if (groups_[gid].num_exprs >= options_.max_exprs_per_group) return;
+    const uint64_t fingerprint = expr.Fingerprint();
+    for (int i = groups_[gid].first_expr; i >= 0; i = exprs_[i].next) {
+      if (exprs_[i].fingerprint == fingerprint) return;
     }
-    if (!g.fingerprints.insert(expr.Fingerprint()).second) return;
-    g.exprs.push_back(std::move(expr));
+    AppendExpr(gid, std::move(expr), fingerprint);
   }
 
-  void TryJoinCommute(int gid, size_t i) {
+  void TryJoinCommute(int gid, int i) {
     // Structural guards run before the rule-bit probe so the bit is only
     // consulted when the rule could actually fire (keeps the cross-config
     // memo footprint tight on join-free jobs).
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+    if (exprs_[i].kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kJoinCommute)) return;
-    if (AlreadyApplied(gid, i, kTxJoinCommute)) return;
-    MarkApplied(gid, i, kTxJoinCommute);
-    const MExpr& e = groups_[gid].exprs[i];
+    if (AlreadyApplied(i, kTxJoinCommute)) return;
+    MarkApplied(i, kTxJoinCommute);
+    const MExpr& e = exprs_[i];
     MExpr swapped = e;
     std::swap(swapped.children[0], swapped.children[1]);
     std::swap(swapped.left_key, swapped.right_key);
@@ -732,21 +833,19 @@ class MemoOptimizer {
     AddExprToGroup(gid, std::move(swapped));
   }
 
-  void TryJoinAssociativity(int gid, size_t i) {
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+  void TryJoinAssociativity(int gid, int i) {
+    if (exprs_[i].kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kJoinAssociativity)) return;
-    if (AlreadyApplied(gid, i, kTxJoinAssoc)) return;
-    MarkApplied(gid, i, kTxJoinAssoc);
-    const MExpr& e = groups_[gid].exprs[i];  // (A join B) join C
+    if (AlreadyApplied(i, kTxJoinAssoc)) return;
+    MarkApplied(i, kTxJoinAssoc);
+    const MExpr& e = exprs_[i];  // (A join B) join C
     int left_gid = e.children[0];
-    for (const MExpr* j2p : CollectPatternExprs(left_gid,
-                                                LogicalOpKind::kJoin)) {
-      const MExpr& j2 = *j2p;
+    ForEachPatternExpr(left_gid, LogicalOpKind::kJoin, [&](const MExpr& j2) {
       int a_gid = j2.children[0];
       int b_gid = j2.children[1];
       // The key joining to C must come from B.
-      if (!groups_[b_gid].schema->HasColumn(e.left_key)) continue;
-      if (!groups_[a_gid].schema->HasColumn(j2.left_key)) continue;
+      if (!groups_[b_gid].schema->HasColumn(e.left_key)) return false;
+      if (!groups_[a_gid].schema->HasColumn(j2.left_key)) return false;
       // inner = B join C.
       MExpr inner;
       inner.kind = LogicalOpKind::kJoin;
@@ -770,40 +869,38 @@ class MemoOptimizer {
       outer.derivation.Set(rules::kJoinAssociativity);
       outer.applied |= (1u << kTxJoinAssoc);
       AddExprToGroup(gid, std::move(outer));
-      break;  // one reassociation per expr keeps the space bounded
-    }
+      return true;  // one reassociation per expr keeps the space bounded
+    });
   }
 
-  void TryEagerAggregation(int gid, size_t i, bool left_side) {
+  void TryEagerAggregation(int gid, int i, bool left_side) {
     int rule = left_side ? rules::kEagerAggregationLeft
                          : rules::kEagerAggregationRight;
     TransformIndex tx = left_side ? kTxEagerAggLeft : kTxEagerAggRight;
     {
-      const MExpr& probe = groups_[gid].exprs[i];
+      const MExpr& probe = exprs_[i];
       if (probe.kind != LogicalOpKind::kAggregate || probe.partial_agg) return;
     }
     if (!config_.IsEnabled(rule)) return;
-    if (AlreadyApplied(gid, i, tx)) return;
-    MarkApplied(gid, i, tx);
-    const MExpr& e = groups_[gid].exprs[i];
+    if (AlreadyApplied(i, tx)) return;
+    MarkApplied(i, tx);
+    const MExpr& e = exprs_[i];
     int child_gid = e.children[0];
-    for (const MExpr* joinp : CollectPatternExprs(child_gid,
-                                                  LogicalOpKind::kJoin)) {
-      const MExpr& join = *joinp;
+    ForEachPatternExpr(child_gid, LogicalOpKind::kJoin, [&](const MExpr& join) {
       int side_gid = join.children[left_side ? 0 : 1];
       const Schema& side_schema = *groups_[side_gid].schema;
       const Symbol join_key = left_side ? join.left_key : join.right_key;
       // All grouping keys and aggregate inputs must come from this side.
       bool applicable = true;
-      for (Symbol g : e.group_by) {
+      for (Symbol g : *e.group_by) {
         if (!side_schema.HasColumn(g)) applicable = false;
       }
-      for (const SelectItem& item : e.projections) {
+      for (const SelectItem& item : *e.projections) {
         if (item.column != kSymStar && !side_schema.HasColumn(item.column)) {
           applicable = false;
         }
       }
-      if (!applicable) continue;
+      if (!applicable) return false;
       // Partial aggregate keyed by (group keys + join key).
       MExpr partial;
       partial.kind = LogicalOpKind::kAggregate;
@@ -811,20 +908,26 @@ class MemoOptimizer {
       partial.children = {side_gid};
       partial.group_by = e.group_by;
       bool key_in_groups = false;
-      for (Symbol g : e.group_by) {
+      for (Symbol g : *e.group_by) {
         if (g == join_key) key_in_groups = true;
       }
-      if (!key_in_groups) partial.group_by.push_back(join_key);
+      if (!key_in_groups) {
+        std::vector<Symbol>& keys = owned_group_by_.emplace_back();
+        keys.reserve(e.group_by->size() + 1);
+        keys = *e.group_by;
+        keys.push_back(join_key);
+        partial.group_by = &keys;
+      }
       partial.projections = e.projections;
       partial.derivation = e.derivation | join.derivation;
       partial.derivation.Set(rule);
       Schema partial_schema;
       for (const auto& col : side_schema.columns) {
         bool keep = col.name == join_key;
-        for (Symbol g : e.group_by) {
+        for (Symbol g : *e.group_by) {
           if (g == col.name) keep = true;
         }
-        for (const SelectItem& item : e.projections) {
+        for (const SelectItem& item : *e.projections) {
           if (item.column == col.name) keep = true;
         }
         if (keep) partial_schema.columns.push_back(col);
@@ -844,20 +947,18 @@ class MemoOptimizer {
       final_agg.applied |= (1u << tx);
       final_agg.derivation.Set(rule);
       AddExprToGroup(gid, std::move(final_agg));
-      break;
-    }
+      return true;
+    });
   }
 
-  void TryJoinThroughUnion(int gid, size_t i) {
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+  void TryJoinThroughUnion(int gid, int i) {
+    if (exprs_[i].kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kPushJoinThroughUnion)) return;
-    if (AlreadyApplied(gid, i, kTxJoinThroughUnion)) return;
-    MarkApplied(gid, i, kTxJoinThroughUnion);
-    const MExpr& e = groups_[gid].exprs[i];
+    if (AlreadyApplied(i, kTxJoinThroughUnion)) return;
+    MarkApplied(i, kTxJoinThroughUnion);
+    const MExpr& e = exprs_[i];
     int left_gid = e.children[0];
-    for (const MExpr* up : CollectPatternExprs(left_gid,
-                                               LogicalOpKind::kUnionAll)) {
-      const MExpr& u = *up;
+    ForEachPatternExpr(left_gid, LogicalOpKind::kUnionAll, [&](const MExpr& u) {
       int join_gids[2];
       for (int side = 0; side < 2; ++side) {
         MExpr nj = e;
@@ -874,12 +975,14 @@ class MemoOptimizer {
       new_union.derivation.Set(rules::kPushJoinThroughUnion);
       new_union.applied |= (1u << kTxJoinThroughUnion);
       AddExprToGroup(gid, std::move(new_union));
-      break;
-    }
+      return true;
+    });
   }
 
   static Schema ConcatSchemas(const Schema& l, const Schema& r) {
-    Schema out = l;
+    Schema out;
+    out.columns.reserve(l.columns.size() + r.columns.size());
+    out.columns = l.columns;
     for (const auto& c : r.columns) {
       if (!out.HasColumn(c.name)) out.columns.push_back(c);
     }
@@ -890,7 +993,7 @@ class MemoOptimizer {
   /// pattern-matching rules may safely look through them.
   static bool IsPureProject(const MExpr& e) {
     if (e.kind != LogicalOpKind::kProject) return false;
-    for (const SelectItem& item : e.projections) {
+    for (const SelectItem& item : *e.projections) {
       if (item.agg != scope::AggFunc::kNone || item.alias != kSymEmpty ||
           item.column == kSymStar) {
         return false;
@@ -899,53 +1002,53 @@ class MemoOptimizer {
     return true;
   }
 
-  /// Expressions of `kind` in group `gid`, looking through one level of
-  /// pure pruning projects (which rules 46/47 insert below joins and
-  /// aggregates and would otherwise hide the patterns). Returns pointers
-  /// into the expr deques — stable across MakeGroup/AddExprToGroup, so
-  /// callers match patterns without copying whole MExprs.
-  std::vector<const MExpr*> CollectPatternExprs(int gid,
-                                                LogicalOpKind kind) const {
-    std::vector<const MExpr*> out;
-    for (const MExpr& e : groups_[gid].exprs) {
+  /// Calls `fn` on each expression of `kind` in group `gid`, looking
+  /// through one level of pure pruning projects (which rules 46/47 insert
+  /// below joins and aggregates and would otherwise hide the patterns),
+  /// until `fn` returns true. `fn` may grow the memo only when it returns
+  /// true: the walk reads the groups' expr lists as it goes.
+  template <typename Fn>
+  void ForEachPatternExpr(int gid, LogicalOpKind kind, Fn&& fn) {
+    for (int i = groups_[gid].first_expr; i >= 0; i = exprs_[i].next) {
+      const MExpr& e = exprs_[i];
       if (e.kind == kind) {
-        out.push_back(&e);
+        if (fn(e)) return;
       } else if (IsPureProject(e)) {
-        for (const MExpr& b : groups_[e.children[0]].exprs) {
-          if (b.kind == kind) out.push_back(&b);
+        for (int j = groups_[e.children[0]].first_expr; j >= 0;
+             j = exprs_[j].next) {
+          if (exprs_[j].kind == kind && fn(exprs_[j])) return;
         }
       }
     }
-    return out;
   }
 
   // ----- Implementation -----------------------------------------------------
 
   Winner OptimizeGroup(int gid, const PhysProp& required, int depth) {
-    uint64_t key = required.HashValue();
-    auto found = groups_[gid].winners.find(key);
-    if (found != groups_[gid].winners.end()) return found->second;
+    const uint64_t key = required.HashValue();
+    for (int w = groups_[gid].first_winner; w >= 0; w = winners_[w].next) {
+      if (winners_[w].key == key) return winners_[w].winner;
+    }
     // Insert an infeasible placeholder to stop runaway recursion.
-    groups_[gid].winners[key] = Winner{};
+    const int slot = static_cast<int>(winners_.size());
+    winners_.push_back({key, groups_[gid].first_winner, Winner{}});
+    groups_[gid].first_winner = slot;
     if (depth > 64) return Winner{};
 
     ExploreGroup(gid);
 
     Winner best;
-    const size_t n_exprs = groups_[gid].exprs.size();
-    for (size_t i = 0; i < n_exprs; ++i) {
-      // By reference: the deque arenas keep exprs pinned while recursive
-      // OptimizeGroup calls grow groups_ underneath this loop.
-      ImplementExpr(gid, groups_[gid].exprs[i], required, depth, &best);
+    for (int i = groups_[gid].first_expr; i >= 0; i = exprs_[i].next) {
+      ImplementExpr(gid, i, required, depth, &best);
     }
     // Enforcer: satisfy the requirement by exchanging the Any-winner.
     if (required.kind != PhysProp::Kind::kAny) {
       Winner any = OptimizeGroup(gid, PhysProp::Any(), depth + 1);
       if (any.feasible) {
-        AddEnforcer(gid, any, required, &best);
+        AddEnforcer(any, required, &best);
       }
     }
-    groups_[gid].winners[key] = best;
+    winners_[slot].winner = best;
     return best;
   }
 
@@ -954,99 +1057,83 @@ class MemoOptimizer {
     if (!best->feasible || candidate.cost < best->cost) *best = candidate;
   }
 
-  /// Creates a physical node for `expr` in group `gid`, annotating sizes.
-  int MakePhysNode(PhysOpKind kind, const MExpr& expr, int gid,
-                   std::vector<int> phys_children, double est_rows,
-                   double true_rows, int partitions,
-                   const std::shared_ptr<const Schema>& schema) {
-    PhysicalNode node;
+  /// Adds a candidate implementing `expr` in group `gid`, annotating sizes.
+  int MakePhysNode(PhysOpKind kind, int expr, int gid,
+                   ChildIds children, double est_rows, double true_rows,
+                   int partitions) {
+    Candidate node;
     node.kind = kind;
-    node.children = std::move(phys_children);
-    node.schema = schema;  // group-shared: refcount bump, no column copy
-    node.table_path = expr.table_path;
-    node.predicates = expr.predicates;
-    node.projections = expr.projections;
-    node.group_by = expr.group_by;
-    node.left_key = expr.left_key;
-    node.right_key = expr.right_key;
-    node.true_fanout = expr.true_fanout;
-    node.output_path = expr.output_path;
-    node.est_rows = est_rows;
-    const double row_width = schema->RowWidthBytes();
-    node.est_bytes = est_rows * row_width;
-    node.true_rows = true_rows;
-    node.true_bytes = true_rows * row_width;
+    node.children = children;
+    node.expr = expr;
+    node.group = gid;
     node.partitions = partitions;
-    std::vector<double> child_rows, child_bytes;
-    child_rows.reserve(node.children.size());
-    child_bytes.reserve(node.children.size());
-    for (int c : node.children) {
-      child_rows.push_back(scratch_.node(c).est_rows);
-      child_bytes.push_back(scratch_.node(c).est_bytes);
+    node.est_rows = est_rows;
+    node.est_bytes = est_rows * groups_[gid].row_width;
+    node.true_rows = true_rows;
+    node.true_bytes = true_rows * groups_[gid].row_width;
+    CostInputs in{kind, partitions, node.est_rows, node.est_bytes, {}, {}};
+    for (size_t i = 0; i < children.size(); ++i) {
+      in.child_rows[i] = candidates_[children[i]].est_rows;
+      in.child_bytes[i] = candidates_[children[i]].est_bytes;
     }
-    node.local_cost = cost_model_.LocalCost(node, child_rows, child_bytes);
-    (void)gid;
-    return scratch_.AddNode(std::move(node));
+    node.local_cost = cost_model_.LocalCost(in);
+    candidates_.push_back(node);
+    return static_cast<int>(candidates_.size()) - 1;
   }
 
-  /// Wraps `input` with an exchange that delivers `prop`.
+  /// Wraps `input_phys` with an exchange that delivers `prop`.
   /// Returns -1 when the needed exchange rule is disabled.
-  int MakeExchange(int input_phys, const PhysProp& prop, int gid,
+  int MakeExchange(int input_phys, const PhysProp& prop,
                    BitVector256* rules_used) {
-    const PhysicalNode& child = scratch_.node(input_phys);
-    PhysOpKind kind;
-    int partitions;
-    Symbol key = kSymEmpty;
+    const Candidate child = candidates_[input_phys];
+    Candidate node;
     switch (prop.kind) {
       case PhysProp::Kind::kHash:
         if (!config_.IsEnabled(rules::kExchangeShuffleImpl)) return -1;
-        kind = PhysOpKind::kExchangeShuffle;
-        partitions = ChoosePartitions(child.est_bytes);
-        key = prop.key;
+        node.kind = PhysOpKind::kExchangeShuffle;
+        node.partitions = ChoosePartitions(child.est_bytes);
+        node.exchange_key = prop.key;
         rules_used->Set(rules::kExchangeShuffleImpl);
         break;
       case PhysProp::Kind::kBroadcast:
         if (!config_.IsEnabled(rules::kExchangeBroadcastImpl)) return -1;
-        kind = PhysOpKind::kExchangeBroadcast;
-        partitions = std::max(1, prop.partitions_hint);
+        node.kind = PhysOpKind::kExchangeBroadcast;
+        node.partitions = std::max(1, prop.partitions_hint);
         rules_used->Set(rules::kExchangeBroadcastImpl);
         break;
       case PhysProp::Kind::kSingleton:
         if (!config_.IsEnabled(rules::kExchangeGatherImpl)) return -1;
-        kind = PhysOpKind::kExchangeGather;
-        partitions = 1;
+        node.kind = PhysOpKind::kExchangeGather;
+        node.partitions = 1;
         rules_used->Set(rules::kExchangeGatherImpl);
         break;
       default:
         return -1;
     }
-    PhysicalNode node;
-    node.kind = kind;
     node.children = {input_phys};
-    node.schema = child.schema;
-    node.exchange_key = key;
+    node.group = child.group;
     node.est_rows = child.est_rows;
     node.est_bytes = child.est_bytes;
     node.true_rows = child.true_rows;
     node.true_bytes = child.true_bytes;
-    node.partitions = partitions;
-    node.local_cost = cost_model_.LocalCost(node, {child.est_rows},
-                                            {child.est_bytes});
-    (void)gid;
-    return scratch_.AddNode(std::move(node));
+    node.local_cost = cost_model_.LocalCost(
+        {node.kind, node.partitions, node.est_rows, node.est_bytes,
+         {child.est_rows}, {child.est_bytes}});
+    candidates_.push_back(node);
+    return static_cast<int>(candidates_.size()) - 1;
   }
 
-  void AddEnforcer(int gid, const Winner& any, const PhysProp& required,
+  void AddEnforcer(const Winner& any, const PhysProp& required,
                    Winner* best) {
     if (required.SatisfiedBy(any.delivered)) {
       ConsiderCandidate(any, best);
       return;
     }
     Winner w = any;
-    int ex = MakeExchange(any.phys, required, gid, &w.rules);
+    int ex = MakeExchange(any.phys, required, &w.rules);
     if (ex < 0) return;
     w.phys = ex;
-    w.cost = any.cost + scratch_.node(ex).local_cost;
+    w.cost = any.cost + candidates_[ex].local_cost;
     w.delivered = required;
     if (required.kind == PhysProp::Kind::kHash) {
       w.delivered.kind = PhysProp::Kind::kHash;
@@ -1054,19 +1141,19 @@ class MemoOptimizer {
     ConsiderCandidate(w, best);
   }
 
-  void ImplementExpr(int gid, const MExpr& expr, const PhysProp& required,
+  void ImplementExpr(int gid, int e, const PhysProp& required,
                      int depth, Winner* best) {
+    const MExpr& expr = exprs_[e];
     const Group& group = groups_[gid];
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
-    const std::shared_ptr<const Schema>& schema = group.schema;
     switch (expr.kind) {
       case LogicalOpKind::kScan: {
         if (!config_.IsEnabled(rules::kScanImpl)) return;
         if (!required.SatisfiedBy(PhysProp::Random())) return;
         // Parallelism follows the bytes the scan *reads* (the full table),
         // not its possibly-filtered output.
-        double table_bytes = est_rows * schema->RowWidthBytes();
+        double table_bytes = est_rows * group.row_width;
         auto table_stats = catalog_.Lookup(expr.table_path);
         if (table_stats.ok()) {
           table_bytes = table_stats.value()->est_bytes();
@@ -1074,13 +1161,13 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = ChoosePartitions(table_bytes);
-        w.phys = MakePhysNode(PhysOpKind::kScan, expr, gid, {}, est_rows,
-                              tru_rows, parts, schema);
-        w.cost = scratch_.node(w.phys).local_cost;
+        w.phys = MakePhysNode(PhysOpKind::kScan, e, gid, {}, est_rows,
+                              tru_rows, parts);
+        w.cost = candidates_[w.phys].local_cost;
         w.delivered = PhysProp::Random();
         w.rules = expr.derivation;
         w.rules.Set(rules::kScanImpl);
-        if (!expr.predicates.empty()) w.rules.Set(rules::kFilterIntoScan);
+        if (!expr.predicates->empty()) w.rules.Set(rules::kFilterIntoScan);
         ConsiderCandidate(w, best);
         return;
       }
@@ -1099,7 +1186,7 @@ class MemoOptimizer {
             child_req.kind == PhysProp::Kind::kHash) {
           // Translate the key through the projection.
           const SelectItem* source = nullptr;
-          for (const SelectItem& item : expr.projections) {
+          for (const SelectItem& item : *expr.projections) {
             if (item.output == child_req.key &&
                 item.agg == scope::AggFunc::kNone) {
               source = &item;
@@ -1122,10 +1209,10 @@ class MemoOptimizer {
                               : PhysOpKind::kProject;
         Winner w;
         w.feasible = true;
-        int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(kind, expr, gid, {child.phys}, est_rows,
-                              tru_rows, parts, schema);
-        w.cost = child.cost + scratch_.node(w.phys).local_cost;
+        int parts = candidates_[child.phys].partitions;
+        w.phys = MakePhysNode(kind, e, gid, {child.phys}, est_rows,
+                              tru_rows, parts);
+        w.cost = child.cost + candidates_[w.phys].local_cost;
         w.delivered = child.delivered;
         w.rules = child.rules | expr.derivation;
         w.rules.Set(impl_rule);
@@ -1133,11 +1220,11 @@ class MemoOptimizer {
         return;
       }
       case LogicalOpKind::kJoin: {
-        ImplementJoin(gid, expr, required, depth, best);
+        ImplementJoin(gid, e, required, depth, best);
         return;
       }
       case LogicalOpKind::kAggregate: {
-        ImplementAggregate(gid, expr, required, depth, best);
+        ImplementAggregate(gid, e, required, depth, best);
         return;
       }
       case LogicalOpKind::kUnionAll: {
@@ -1148,13 +1235,12 @@ class MemoOptimizer {
         if (!l.feasible || !r.feasible) return;
         Winner w;
         w.feasible = true;
-        int parts = scratch_.node(l.phys).partitions +
-                    scratch_.node(r.phys).partitions;
+        int parts = candidates_[l.phys].partitions +
+                    candidates_[r.phys].partitions;
         parts = std::min(parts, 256);
-        w.phys = MakePhysNode(PhysOpKind::kUnionAll, expr, gid,
-                              {l.phys, r.phys}, est_rows, tru_rows, parts,
-                              schema);
-        w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
+        w.phys = MakePhysNode(PhysOpKind::kUnionAll, e, gid,
+                              {l.phys, r.phys}, est_rows, tru_rows, parts);
+        w.cost = l.cost + r.cost + candidates_[w.phys].local_cost;
         w.delivered = PhysProp::Random();
         w.rules = l.rules | r.rules | expr.derivation;
         w.rules.Set(rules::kUnionAllImpl);
@@ -1168,10 +1254,10 @@ class MemoOptimizer {
         if (!child.feasible) return;
         Winner w;
         w.feasible = true;
-        int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kOutput, expr, gid, {child.phys},
-                              est_rows, tru_rows, parts, schema);
-        w.cost = child.cost + scratch_.node(w.phys).local_cost;
+        int parts = candidates_[child.phys].partitions;
+        w.phys = MakePhysNode(PhysOpKind::kOutput, e, gid, {child.phys},
+                              est_rows, tru_rows, parts);
+        w.cost = child.cost + candidates_[w.phys].local_cost;
         w.delivered = child.delivered;
         w.rules = child.rules | expr.derivation;
         w.rules.Set(rules::kOutputImpl);
@@ -1181,10 +1267,10 @@ class MemoOptimizer {
     }
   }
 
-  void ImplementJoin(int gid, const MExpr& expr, const PhysProp& required,
+  void ImplementJoin(int gid, int e, const PhysProp& required,
                      int depth, Winner* best) {
+    const MExpr& expr = exprs_[e];
     const Group& group = groups_[gid];
-    const std::shared_ptr<const Schema>& schema = group.schema;
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
 
@@ -1200,11 +1286,11 @@ class MemoOptimizer {
       if (!required.SatisfiedBy(delivered)) return;
       Winner w;
       w.feasible = true;
-      int parts = std::max(scratch_.node(l.phys).partitions,
-                           scratch_.node(r.phys).partitions);
-      w.phys = MakePhysNode(kind, expr, gid, {l.phys, r.phys}, est_rows,
-                            tru_rows, parts, schema);
-      w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
+      int parts = std::max(candidates_[l.phys].partitions,
+                           candidates_[r.phys].partitions);
+      w.phys = MakePhysNode(kind, e, gid, {l.phys, r.phys}, est_rows,
+                            tru_rows, parts);
+      w.cost = l.cost + r.cost + candidates_[w.phys].local_cost;
       w.delivered = delivered;
       w.rules = l.rules | r.rules | expr.derivation;
       w.rules.Set(impl_rule);
@@ -1220,20 +1306,20 @@ class MemoOptimizer {
               ? options_.broadcast_threshold_aggressive_bytes
               : options_.broadcast_threshold_bytes;
       const Group& right = groups_[expr.children[1]];
-      double right_bytes = right.est.rows * right.schema->RowWidthBytes();
+      double right_bytes = right.est.rows * right.row_width;
       if (right_bytes <= threshold) {
         Winner l = OptimizeGroup(expr.children[0], PhysProp::Any(), depth + 1);
         if (l.feasible) {
-          int consumers = scratch_.node(l.phys).partitions;
+          int consumers = candidates_[l.phys].partitions;
           Winner r = OptimizeGroup(expr.children[1],
                                    PhysProp::Broadcast(consumers), depth + 1);
           if (r.feasible && required.SatisfiedBy(l.delivered)) {
             Winner w;
             w.feasible = true;
-            w.phys = MakePhysNode(PhysOpKind::kBroadcastJoin, expr, gid,
+            w.phys = MakePhysNode(PhysOpKind::kBroadcastJoin, e, gid,
                                   {l.phys, r.phys}, est_rows, tru_rows,
-                                  consumers, schema);
-            w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
+                                  consumers);
+            w.cost = l.cost + r.cost + candidates_[w.phys].local_cost;
             w.delivered = l.delivered;
             w.rules = l.rules | r.rules | expr.derivation;
             w.rules.Set(rules::kBroadcastJoinImpl);
@@ -1248,10 +1334,10 @@ class MemoOptimizer {
     }
   }
 
-  void ImplementAggregate(int gid, const MExpr& expr, const PhysProp& required,
+  void ImplementAggregate(int gid, int e, const PhysProp& required,
                           int depth, Winner* best) {
+    const MExpr& expr = exprs_[e];
     const Group& group = groups_[gid];
-    const std::shared_ptr<const Schema>& schema = group.schema;
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
 
@@ -1267,10 +1353,10 @@ class MemoOptimizer {
       if (!required.SatisfiedBy(child.delivered)) return;
       Winner w;
       w.feasible = true;
-      int parts = scratch_.node(child.phys).partitions;
-      w.phys = MakePhysNode(PhysOpKind::kPartialHashAgg, expr, gid,
-                            {child.phys}, est_rows, tru_rows, parts, schema);
-      w.cost = child.cost + scratch_.node(w.phys).local_cost;
+      int parts = candidates_[child.phys].partitions;
+      w.phys = MakePhysNode(PhysOpKind::kPartialHashAgg, e, gid,
+                            {child.phys}, est_rows, tru_rows, parts);
+      w.cost = child.cost + candidates_[w.phys].local_cost;
       w.delivered = child.delivered;
       w.rules = child.rules | expr.derivation;
       w.rules.Set(hash_ok ? rules::kHashAggImpl : rules::kStreamAggImpl);
@@ -1281,9 +1367,9 @@ class MemoOptimizer {
     // Partitioned on the first group key (gathered, for a global aggregate):
     // what a single-phase aggregate needs from its input, where the
     // two-phase exchange moves partials, and what every final phase delivers.
-    const bool global = expr.group_by.empty();
+    const bool global = expr.group_by->empty();
     const PhysProp delivered = global ? PhysProp::Singleton()
-                                      : PhysProp::Hash(expr.group_by[0]);
+                                      : PhysProp::Hash((*expr.group_by)[0]);
 
     // Single-phase hash aggregation: shuffle raw rows to the group keys.
     if (config_.IsEnabled(rules::kHashAggImpl) &&
@@ -1292,10 +1378,10 @@ class MemoOptimizer {
       if (child.feasible) {
         Winner w;
         w.feasible = true;
-        int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kHashAgg, expr, gid, {child.phys},
-                              est_rows, tru_rows, parts, schema);
-        w.cost = child.cost + scratch_.node(w.phys).local_cost;
+        int parts = candidates_[child.phys].partitions;
+        w.phys = MakePhysNode(PhysOpKind::kHashAgg, e, gid, {child.phys},
+                              est_rows, tru_rows, parts);
+        w.cost = child.cost + candidates_[w.phys].local_cost;
         w.delivered = delivered;
         w.rules = child.rules | expr.derivation;
         w.rules.Set(rules::kHashAggImpl);
@@ -1310,10 +1396,10 @@ class MemoOptimizer {
       if (child.feasible) {
         Winner w;
         w.feasible = true;
-        int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kStreamAgg, expr, gid, {child.phys},
-                              est_rows, tru_rows, parts, schema);
-        w.cost = child.cost + scratch_.node(w.phys).local_cost;
+        int parts = candidates_[child.phys].partitions;
+        w.phys = MakePhysNode(PhysOpKind::kStreamAgg, e, gid, {child.phys},
+                              est_rows, tru_rows, parts);
+        w.cost = child.cost + candidates_[w.phys].local_cost;
         w.delivered = delivered;
         w.rules = child.rules | expr.derivation;
         w.rules.Set(rules::kStreamAggImpl);
@@ -1329,29 +1415,28 @@ class MemoOptimizer {
       Winner child = OptimizeGroup(expr.children[0], PhysProp::Any(),
                                    depth + 1);
       if (!child.feasible) return;
-      int child_parts = scratch_.node(child.phys).partitions;
+      int child_parts = candidates_[child.phys].partitions;
       RelStats partial_est = est_.PartialAggregate(
-          groups_[expr.children[0]].est, expr.group_by, child_parts);
+          groups_[expr.children[0]].est, *expr.group_by, child_parts);
       RelStats partial_tru = tru_.PartialAggregate(
-          groups_[expr.children[0]].tru, expr.group_by, child_parts);
+          groups_[expr.children[0]].tru, *expr.group_by, child_parts);
       BitVector256 rules_used = child.rules | expr.derivation;
       rules_used.Set(rules::kTwoPhaseAggregation);
       rules_used.Set(rules::kHashAggImpl);
-      int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, expr, gid,
+      int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, e, gid,
                                  {child.phys}, partial_est.rows,
-                                 partial_tru.rows, child_parts, schema);
-      int exchange = MakeExchange(partial, delivered, gid, &rules_used);
+                                 partial_tru.rows, child_parts);
+      int exchange = MakeExchange(partial, delivered, &rules_used);
       if (exchange < 0) return;
-      int final_parts = scratch_.node(exchange).partitions;
-      int final_agg = MakePhysNode(PhysOpKind::kHashAgg, expr, gid,
-                                   {exchange}, est_rows, tru_rows, final_parts,
-                                   schema);
+      int final_parts = candidates_[exchange].partitions;
+      int final_agg = MakePhysNode(PhysOpKind::kHashAgg, e, gid,
+                                   {exchange}, est_rows, tru_rows, final_parts);
       Winner w;
       w.feasible = true;
       w.phys = final_agg;
-      w.cost = child.cost + scratch_.node(partial).local_cost +
-               scratch_.node(exchange).local_cost +
-               scratch_.node(final_agg).local_cost;
+      w.cost = child.cost + candidates_[partial].local_cost +
+               candidates_[exchange].local_cost +
+               candidates_[final_agg].local_cost;
       w.delivered = delivered;
       w.rules = rules_used;
       ConsiderCandidate(w, best);
@@ -1360,27 +1445,69 @@ class MemoOptimizer {
 
   // ----- Winner extraction --------------------------------------------------
 
-  /// Copies the reachable subgraph into `out`, returning the total estimated
-  /// cost of the final plan.
+  /// Copies the candidates reachable from `root_phys` into `out` as
+  /// PhysicalNodes, children before parents, filling in each node's payload
+  /// from its memo expr. Returns the total estimated cost of the plan.
   double Compact(const std::vector<int>& root_phys, PhysicalPlan* out) {
-    std::unordered_map<int, int> remap;
+    // Post-order walk: a candidate's plan id is its position in `order`.
+    constexpr int kUnvisited = -1;
+    constexpr int kOnStack = -2;
+    std::vector<int> remap(candidates_.size(), kUnvisited);
+    std::vector<int> order;
+    std::vector<std::pair<int, int>> stack;  // (candidate, next child)
+    for (int r : root_phys) {
+      if (remap[r] == kUnvisited) {
+        remap[r] = kOnStack;
+        stack.emplace_back(r, 0);
+      }
+      while (!stack.empty()) {
+        const auto [id, next] = stack.back();
+        const ChildIds& children = candidates_[id].children;
+        if (next == children.count) {
+          remap[id] = static_cast<int>(order.size());
+          order.push_back(id);
+          stack.pop_back();
+          continue;
+        }
+        ++stack.back().second;
+        const int c = children[next];
+        if (remap[c] == kUnvisited) {
+          remap[c] = kOnStack;
+          stack.emplace_back(c, 0);
+        }
+      }
+      out->roots.push_back(remap[r]);
+    }
+    out->nodes.reserve(order.size());
     double total = 0.0;
-    std::function<int(int)> copy = [&](int id) -> int {
-      auto it = remap.find(id);
-      if (it != remap.end()) return it->second;
-      // Steal, don't copy: remap guarantees one visit per scratch node, and
-      // the scratch arena dies with this MemoOptimizer.
-      PhysicalNode node = std::move(scratch_.node(id));
-      std::vector<int> new_children;
-      new_children.reserve(node.children.size());
-      for (int c : node.children) new_children.push_back(copy(c));
-      node.children = std::move(new_children);
-      total += node.local_cost;
-      int nid = out->AddNode(std::move(node));
-      remap[id] = nid;
-      return nid;
-    };
-    for (int r : root_phys) out->roots.push_back(copy(r));
+    for (int id : order) {
+      const Candidate& c = candidates_[id];
+      PhysicalNode node;
+      node.kind = c.kind;
+      node.children.reserve(c.children.size());
+      for (int child : c.children) node.children.push_back(remap[child]);
+      node.schema = groups_[c.group].schema;
+      if (c.expr >= 0) {
+        const MExpr& e = exprs_[c.expr];
+        node.table_path = e.table_path;
+        node.predicates = *e.predicates;
+        node.projections = *e.projections;
+        node.group_by = *e.group_by;
+        node.left_key = e.left_key;
+        node.right_key = e.right_key;
+        node.true_fanout = e.true_fanout;
+        node.output_path = e.output_path;
+      }
+      node.exchange_key = c.exchange_key;
+      node.est_rows = c.est_rows;
+      node.est_bytes = c.est_bytes;
+      node.partitions = c.partitions;
+      node.local_cost = c.local_cost;
+      node.true_rows = c.true_rows;
+      node.true_bytes = c.true_bytes;
+      total += c.local_cost;
+      out->AddNode(std::move(node));
+    }
     return total;
   }
 
@@ -1390,12 +1517,13 @@ class MemoOptimizer {
   StatsDeriver est_;
   StatsDeriver tru_;
   CostModel cost_model_;
-  /// deque: MakeGroup during exploration never moves existing groups, so
-  /// Group/Schema references held across recursive OptimizeGroup calls stay
-  /// valid (a growing vector would invalidate them mid-implementation).
-  std::deque<Group> groups_;
-  PhysicalPlan scratch_;
-  std::unordered_map<Symbol, Schema> scan_schema_;
+  BlockArena<Group, 32> groups_;
+  BlockArena<MExpr, 64> exprs_;
+  /// Group-by lists built by eager aggregation; a deque, so MExprs may
+  /// point at them while more are added.
+  std::deque<std::vector<Symbol>> owned_group_by_;
+  std::vector<WinnerSlot> winners_;
+  std::vector<Candidate> candidates_;
 };
 
 }  // namespace

@@ -83,9 +83,9 @@ struct PhysicalPlan {
   std::vector<PhysicalNode> nodes;
   std::vector<int> roots;
 
-  /// Takes the node by rvalue: PhysicalNode is vector-heavy and AddNode
-  /// runs once per candidate the search ever considers, so the by-value
-  /// extra move was measurable.
+  /// Takes the node by rvalue: PhysicalNode is vector-heavy. The optimizer
+  /// adds only the nodes of the final plan; its search keeps candidates in
+  /// its own payload-free records.
   int AddNode(PhysicalNode&& node) {
     node.id = static_cast<int>(nodes.size());
     nodes.push_back(std::move(node));

@@ -1,40 +1,128 @@
 #include "scope/lexer.h"
 
-#include <cctype>
-#include <unordered_set>
+#include <charconv>
+#include <cmath>
+#include <iterator>
+#include <string>
 
 namespace qo::scope {
 
 namespace {
 
-const std::unordered_set<std::string>& Keywords() {
-  static const auto* kKeywords = new std::unordered_set<std::string>{
-      "EXTRACT", "FROM",  "SELECT", "WHERE", "GROUP", "BY",  "JOIN",
-      "ON",      "OUTPUT", "TO",    "AS",    "UNION", "ALL", "AND",
-  };
-  return *kKeywords;
+/// Spellings indexed by enum value.
+constexpr std::string_view kKeywordText[] = {
+    "",   "EXTRACT", "FROM", "SELECT", "WHERE", "GROUP", "BY", "JOIN",
+    "ON", "OUTPUT",  "TO",   "AS",     "UNION", "ALL",   "AND",
+};
+constexpr std::string_view kPunctText[] = {
+    "",  "=", "==", "!=", "<", "<=", ">", ">=",
+    ",", ";", "(",  ")",  ":", "*",  "@",
+};
+static_assert(std::size(kKeywordText) ==
+              static_cast<size_t>(Keyword::kAnd) + 1);
+static_assert(std::size(kPunctText) == static_cast<size_t>(Punct::kAt) + 1);
+
+// ASCII classes (the "C" locale's isalpha/isdigit/isspace).
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsWordChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-std::string ToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
+Keyword MatchKeyword(std::string_view word) {
+  // Every keyword is 2-7 letters; most identifiers are rejected here.
+  if (word.size() < 2 || word.size() > 7) return Keyword::kNone;
+  for (size_t k = 1; k < std::size(kKeywordText); ++k) {
+    if (EqualsUpper(word, kKeywordText[k])) return static_cast<Keyword>(k);
+  }
+  return Keyword::kNone;
+}
+
+Punct MatchPunct(char c, char next) {
+  switch (c) {
+    case '=':
+      return next == '=' ? Punct::kEq : Punct::kAssign;
+    case '!':
+      return next == '=' ? Punct::kNe : Punct::kNone;
+    case '<':
+      return next == '=' ? Punct::kLe : Punct::kLt;
+    case '>':
+      return next == '=' ? Punct::kGe : Punct::kGt;
+    case ',':
+      return Punct::kComma;
+    case ';':
+      return Punct::kSemicolon;
+    case '(':
+      return Punct::kLParen;
+    case ')':
+      return Punct::kRParen;
+    case ':':
+      return Punct::kColon;
+    case '*':
+      return Punct::kStar;
+    case '@':
+      return Punct::kAt;
+    default:
+      return Punct::kNone;
+  }
+}
+
+/// The value strtod gives a number token: correctly rounded, ±inf when it
+/// overflows and ±0 when it underflows (from_chars reports both as out of
+/// range and leaves the value unset).
+double NumberValue(std::string_view text) {
+  double value = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    const bool negative = text.front() == '-';
+    const std::string_view digits = text.substr(negative ? 1 : 0);
+    const bool overflow = digits.substr(0, digits.find('.'))
+                              .find_first_not_of('0') != std::string_view::npos;
+    value = overflow ? HUGE_VAL : 0.0;
+    if (negative) value = -value;
+  }
+  return value;
 }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(const std::string& source) {
+bool EqualsUpper(std::string_view word, std::string_view upper) {
+  if (word.size() != upper.size()) return false;
+  for (size_t i = 0; i < word.size(); ++i) {
+    // Clearing bit 5 upper-cases a letter and maps no other word
+    // character onto one.
+    if (static_cast<char>(word[i] & ~0x20) != upper[i]) return false;
+  }
+  return true;
+}
+
+std::string_view KeywordText(Keyword kw) {
+  return kKeywordText[static_cast<size_t>(kw)];
+}
+
+std::string_view PunctText(Punct p) {
+  return kPunctText[static_cast<size_t>(p)];
+}
+
+Result<std::vector<Token>> Tokenize(std::string_view source) {
   std::vector<Token> tokens;
+  tokens.reserve(source.size() / 4 + 8);
   int line = 1;
   size_t i = 0;
   const size_t n = source.size();
   while (i < n) {
-    char c = source[i];
+    const char c = source[i];
     if (c == '\n') {
       ++line;
       ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -43,76 +131,66 @@ Result<std::vector<Token>> Tokenize(const std::string& source) {
       while (i < n && source[i] != '\n') ++i;
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(source[i])) ||
-                       source[i] == '_')) {
-        ++i;
-      }
-      std::string word = source.substr(start, i - start);
-      std::string upper = ToUpper(word);
-      Token t;
-      if (Keywords().count(upper) > 0) {
+    Token t;
+    t.line = line;
+    if (IsAlpha(c) || c == '_') {
+      const size_t start = i;
+      while (i < n && IsWordChar(source[i])) ++i;
+      t.text = source.substr(start, i - start);
+      t.keyword = MatchKeyword(t.text);
+      if (t.keyword != Keyword::kNone) {
         t.kind = TokenKind::kKeyword;
-        t.text = upper;
+        t.text = KeywordText(t.keyword);
       } else {
         t.kind = TokenKind::kIdentifier;
-        t.text = word;
       }
-      t.line = line;
-      tokens.push_back(std::move(t));
+      tokens.push_back(t);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(source[i + 1])))) {
-      size_t start = i;
+    if (IsDigit(c) || (c == '-' && i + 1 < n && IsDigit(source[i + 1]))) {
+      const size_t start = i;
       if (c == '-') ++i;
       bool seen_dot = false;
-      while (i < n && (std::isdigit(static_cast<unsigned char>(source[i])) ||
-                       (source[i] == '.' && !seen_dot))) {
+      while (i < n && (IsDigit(source[i]) || (source[i] == '.' && !seen_dot))) {
         if (source[i] == '.') seen_dot = true;
         ++i;
       }
-      tokens.push_back({TokenKind::kNumber, source.substr(start, i - start),
-                        line});
+      t.kind = TokenKind::kNumber;
+      t.text = source.substr(start, i - start);
+      t.number = NumberValue(t.text);
+      tokens.push_back(t);
       continue;
     }
     if (c == '"') {
-      size_t start = ++i;
-      while (i < n && source[i] != '"') {
-        if (source[i] == '\n') {
-          return Status::ParseError("unterminated string literal at line " +
-                                    std::to_string(line));
-        }
-        ++i;
-      }
-      if (i >= n) {
+      const size_t start = ++i;
+      while (i < n && source[i] != '"' && source[i] != '\n') ++i;
+      if (i >= n || source[i] == '\n') {
         return Status::ParseError("unterminated string literal at line " +
                                   std::to_string(line));
       }
-      tokens.push_back({TokenKind::kString, source.substr(start, i - start),
-                        line});
+      t.kind = TokenKind::kString;
+      t.text = source.substr(start, i - start);
+      tokens.push_back(t);
       ++i;  // closing quote
       continue;
     }
-    // Multi-char symbols first.
-    auto two = (i + 1 < n) ? source.substr(i, 2) : std::string();
-    if (two == "==" || two == "!=" || two == "<=" || two == ">=") {
-      tokens.push_back({TokenKind::kSymbol, two, line});
-      i += 2;
+    t.punct = MatchPunct(c, i + 1 < n ? source[i + 1] : '\0');
+    if (t.punct != Punct::kNone) {
+      t.kind = TokenKind::kSymbol;
+      t.text = source.substr(i, PunctText(t.punct).size());
+      i += t.text.size();
+      tokens.push_back(t);
       continue;
     }
-    if (c == '=' || c == '<' || c == '>' || c == ',' || c == ';' ||
-        c == '(' || c == ')' || c == ':' || c == '*' || c == '@') {
-      tokens.push_back({TokenKind::kSymbol, std::string(1, c), line});
-      ++i;
-      continue;
-    }
-    return Status::ParseError(std::string("unexpected character '") + c +
-                              "' at line " + std::to_string(line));
+    std::string msg = "unexpected character '";
+    msg += c;
+    msg += "' at line ";
+    msg += std::to_string(line);
+    return Status::ParseError(msg);
   }
-  tokens.push_back({TokenKind::kEnd, "", line});
+  Token end;
+  end.line = line;
+  tokens.push_back(end);
   return tokens;
 }
 

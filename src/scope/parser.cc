@@ -1,6 +1,8 @@
 #include "scope/parser.h"
 
-#include <cstdlib>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "scope/lexer.h"
 
@@ -39,43 +41,44 @@ class Parser {
   }
   const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
 
-  bool MatchSymbol(const char* sym) {
-    if (Peek().t->IsSymbol(sym)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  bool MatchKeyword(const char* kw) {
-    if (Peek().t->IsKeyword(kw)) {
+  template <typename Enum>
+  bool Match(Enum e) {
+    if (Peek().t->Is(e)) {
       Advance();
       return true;
     }
     return false;
   }
 
-  Status ExpectSymbol(const char* sym) {
-    if (!MatchSymbol(sym)) {
-      return Errorf(std::string("expected '") + sym + "'");
-    }
-    return Status::OK();
+  Status Expect(Punct p) {
+    if (Match(p)) return Status::OK();
+    std::string msg = "expected '";
+    msg += PunctText(p);
+    msg += '\'';
+    return Errorf(std::move(msg));
   }
-  Status ExpectKeyword(const char* kw) {
-    if (!MatchKeyword(kw)) {
-      return Errorf(std::string("expected ") + kw);
-    }
-    return Status::OK();
+  Status Expect(Keyword kw) {
+    if (Match(kw)) return Status::OK();
+    std::string msg = "expected ";
+    msg += KeywordText(kw);
+    return Errorf(std::move(msg));
   }
 
-  Result<std::string> ExpectIdentifier() {
+  /// An identifier's text, viewing the source.
+  Result<std::string_view> ExpectWord() {
     if (Peek().t->kind != TokenKind::kIdentifier) {
       return Errorf("expected identifier");
     }
     return Advance().text;
   }
+  /// An identifier naming a rowset binding.
+  Result<std::string> ExpectIdentifier() {
+    QO_ASSIGN_OR_RETURN(std::string_view text, ExpectWord());
+    return std::string(text);
+  }
   /// An identifier naming a column or alias, interned as it is read.
   Result<Symbol> ExpectName() {
-    QO_ASSIGN_OR_RETURN(std::string text, ExpectIdentifier());
+    QO_ASSIGN_OR_RETURN(std::string_view text, ExpectWord());
     return Sym(text);
   }
   /// A string literal naming a path, interned as it is read.
@@ -86,43 +89,46 @@ class Parser {
     return Sym(Advance().text);
   }
 
-  Status Errorf(const std::string& msg) {
-    return Status::ParseError(msg + " at line " +
-                              std::to_string(Peek().t->line) + " (got '" +
-                              Peek().t->text + "')");
+  Status Errorf(std::string msg) {
+    msg += " at line ";
+    msg += std::to_string(Peek().t->line);
+    msg += " (got '";
+    msg += Peek().t->text;
+    msg += "')";
+    return Status::ParseError(msg);
   }
 
   Result<Statement> ParseStatement() {
     Statement stmt;
     stmt.line = Peek().t->line;
-    if (Peek().t->IsKeyword("OUTPUT")) {
+    if (Peek().t->Is(Keyword::kOutput)) {
       Advance();
       stmt.kind = StatementKind::kOutput;
       QO_ASSIGN_OR_RETURN(stmt.output.source, ExpectIdentifier());
-      QO_RETURN_IF_ERROR(ExpectKeyword("TO"));
+      QO_RETURN_IF_ERROR(Expect(Keyword::kTo));
       QO_ASSIGN_OR_RETURN(stmt.output.output_path, ExpectPath());
-      QO_RETURN_IF_ERROR(ExpectSymbol(";"));
+      QO_RETURN_IF_ERROR(Expect(Punct::kSemicolon));
       return stmt;
     }
     // Assignment forms: target = EXTRACT ... | SELECT ... | src UNION ALL src
     QO_ASSIGN_OR_RETURN(std::string target, ExpectIdentifier());
-    QO_RETURN_IF_ERROR(ExpectSymbol("="));
-    if (Peek().t->IsKeyword("EXTRACT")) {
+    QO_RETURN_IF_ERROR(Expect(Punct::kAssign));
+    if (Peek().t->Is(Keyword::kExtract)) {
       Advance();
       stmt.kind = StatementKind::kExtract;
       stmt.extract.target = target;
       QO_RETURN_IF_ERROR(ParseExtractColumns(&stmt.extract.columns));
-      QO_RETURN_IF_ERROR(ExpectKeyword("FROM"));
+      QO_RETURN_IF_ERROR(Expect(Keyword::kFrom));
       QO_ASSIGN_OR_RETURN(stmt.extract.input_path, ExpectPath());
-      QO_RETURN_IF_ERROR(ExpectSymbol(";"));
+      QO_RETURN_IF_ERROR(Expect(Punct::kSemicolon));
       return stmt;
     }
-    if (Peek().t->IsKeyword("SELECT")) {
+    if (Peek().t->Is(Keyword::kSelect)) {
       Advance();
       stmt.kind = StatementKind::kSelect;
       stmt.select.target = target;
       QO_RETURN_IF_ERROR(ParseSelectBody(&stmt.select));
-      QO_RETURN_IF_ERROR(ExpectSymbol(";"));
+      QO_RETURN_IF_ERROR(Expect(Punct::kSemicolon));
       return stmt;
     }
     if (Peek().t->kind == TokenKind::kIdentifier) {
@@ -130,10 +136,10 @@ class Parser {
       stmt.kind = StatementKind::kUnion;
       stmt.union_stmt.target = target;
       QO_ASSIGN_OR_RETURN(stmt.union_stmt.left, ExpectIdentifier());
-      QO_RETURN_IF_ERROR(ExpectKeyword("UNION"));
-      QO_RETURN_IF_ERROR(ExpectKeyword("ALL"));
+      QO_RETURN_IF_ERROR(Expect(Keyword::kUnion));
+      QO_RETURN_IF_ERROR(Expect(Keyword::kAll));
       QO_ASSIGN_OR_RETURN(stmt.union_stmt.right, ExpectIdentifier());
-      QO_RETURN_IF_ERROR(ExpectSymbol(";"));
+      QO_RETURN_IF_ERROR(Expect(Punct::kSemicolon));
       return stmt;
     }
     return Errorf("expected EXTRACT, SELECT or rowset name");
@@ -143,14 +149,16 @@ class Parser {
     while (true) {
       Column col;
       QO_ASSIGN_OR_RETURN(col.name, ExpectName());
-      QO_RETURN_IF_ERROR(ExpectSymbol(":"));
-      auto type_name = ExpectIdentifier();
-      if (!type_name.ok()) return type_name.status();
-      if (!ParseColumnType(type_name.value(), &col.type)) {
-        return Errorf("unknown type '" + type_name.value() + "'");
+      QO_RETURN_IF_ERROR(Expect(Punct::kColon));
+      QO_ASSIGN_OR_RETURN(std::string_view type_name, ExpectWord());
+      if (!ParseColumnType(type_name, &col.type)) {
+        std::string msg = "unknown type '";
+        msg += type_name;
+        msg += '\'';
+        return Errorf(std::move(msg));
       }
       out->push_back(std::move(col));
-      if (!MatchSymbol(",")) break;
+      if (!Match(Punct::kComma)) break;
     }
     if (out->empty()) return Errorf("EXTRACT requires at least one column");
     return Status::OK();
@@ -161,44 +169,42 @@ class Parser {
     while (true) {
       AggFunc agg = AggFunc::kNone;
       Symbol column = kSymStar;
-      if (!MatchSymbol("*")) {
-        auto word = ExpectIdentifier();
-        if (!word.ok()) return word.status();
-        std::string text = std::move(word).value();
+      if (!Match(Punct::kStar)) {
+        QO_ASSIGN_OR_RETURN(std::string_view text, ExpectWord());
         AggFunc named;
-        if (IsAggName(text, &named) && Peek().t->IsSymbol("(")) {
+        if (IsAggName(text, &named) && Peek().t->Is(Punct::kLParen)) {
           Advance();  // (
           agg = named;
-          if (!MatchSymbol("*")) {
+          if (!Match(Punct::kStar)) {
             QO_ASSIGN_OR_RETURN(column, ExpectName());
           }
-          QO_RETURN_IF_ERROR(ExpectSymbol(")"));
+          QO_RETURN_IF_ERROR(Expect(Punct::kRParen));
         } else {
           column = Sym(text);
         }
       }
       Symbol alias = kSymEmpty;
-      if (MatchKeyword("AS")) {
+      if (Match(Keyword::kAs)) {
         QO_ASSIGN_OR_RETURN(alias, ExpectName());
       }
       sel->items.emplace_back(agg, column, alias);
-      if (!MatchSymbol(",")) break;
+      if (!Match(Punct::kComma)) break;
     }
-    QO_RETURN_IF_ERROR(ExpectKeyword("FROM"));
+    QO_RETURN_IF_ERROR(Expect(Keyword::kFrom));
     QO_ASSIGN_OR_RETURN(sel->from, ExpectIdentifier());
     // Joins.
-    while (MatchKeyword("JOIN")) {
+    while (Match(Keyword::kJoin)) {
       JoinClause jc;
       QO_ASSIGN_OR_RETURN(jc.rowset, ExpectIdentifier());
-      QO_RETURN_IF_ERROR(ExpectKeyword("ON"));
+      QO_RETURN_IF_ERROR(Expect(Keyword::kOn));
       QO_ASSIGN_OR_RETURN(jc.left_column, ExpectName());
-      QO_RETURN_IF_ERROR(ExpectSymbol("=="));
+      QO_RETURN_IF_ERROR(Expect(Punct::kEq));
       QO_ASSIGN_OR_RETURN(jc.right_column, ExpectName());
-      if (MatchSymbol("@")) {
+      if (Match(Punct::kAt)) {
         if (Peek().t->kind != TokenKind::kNumber) {
           return Errorf("expected fanout number after '@'");
         }
-        jc.true_fanout = std::strtod(Advance().text.c_str(), nullptr);
+        jc.true_fanout = Advance().number;
         if (jc.true_fanout < 0.0) {
           return Errorf("join fanout must be non-negative");
         }
@@ -206,32 +212,32 @@ class Parser {
       sel->joins.push_back(std::move(jc));
     }
     // WHERE conjuncts.
-    if (MatchKeyword("WHERE")) {
+    if (Match(Keyword::kWhere)) {
       while (true) {
         Predicate pred;
         QO_ASSIGN_OR_RETURN(pred.column, ExpectName());
         QO_RETURN_IF_ERROR(ParseCompareOp(&pred.op));
         QO_RETURN_IF_ERROR(ParseLiteral(&pred.literal));
-        if (MatchSymbol("@")) {
+        if (Match(Punct::kAt)) {
           if (Peek().t->kind != TokenKind::kNumber) {
             return Errorf("expected selectivity number after '@'");
           }
-          pred.true_selectivity = std::strtod(Advance().text.c_str(), nullptr);
+          pred.true_selectivity = Advance().number;
           if (pred.true_selectivity < 0.0 || pred.true_selectivity > 1.0) {
             return Errorf("selectivity must be within [0, 1]");
           }
         }
         sel->where.push_back(std::move(pred));
-        if (!MatchKeyword("AND")) break;
+        if (!Match(Keyword::kAnd)) break;
       }
     }
     // GROUP BY.
-    if (MatchKeyword("GROUP")) {
-      QO_RETURN_IF_ERROR(ExpectKeyword("BY"));
+    if (Match(Keyword::kGroup)) {
+      QO_RETURN_IF_ERROR(Expect(Keyword::kBy));
       while (true) {
         QO_ASSIGN_OR_RETURN(Symbol col, ExpectName());
         sel->group_by.push_back(col);
-        if (!MatchSymbol(",")) break;
+        if (!Match(Punct::kComma)) break;
       }
     }
     return Status::OK();
@@ -240,20 +246,27 @@ class Parser {
   Status ParseCompareOp(CompareOp* op) {
     const Token& t = *Peek().t;
     if (t.kind != TokenKind::kSymbol) return Errorf("expected comparison");
-    if (t.text == "==") {
-      *op = CompareOp::kEq;
-    } else if (t.text == "!=") {
-      *op = CompareOp::kNe;
-    } else if (t.text == "<") {
-      *op = CompareOp::kLt;
-    } else if (t.text == "<=") {
-      *op = CompareOp::kLe;
-    } else if (t.text == ">") {
-      *op = CompareOp::kGt;
-    } else if (t.text == ">=") {
-      *op = CompareOp::kGe;
-    } else {
-      return Errorf("expected comparison operator");
+    switch (t.punct) {
+      case Punct::kEq:
+        *op = CompareOp::kEq;
+        break;
+      case Punct::kNe:
+        *op = CompareOp::kNe;
+        break;
+      case Punct::kLt:
+        *op = CompareOp::kLt;
+        break;
+      case Punct::kLe:
+        *op = CompareOp::kLe;
+        break;
+      case Punct::kGt:
+        *op = CompareOp::kGt;
+        break;
+      case Punct::kGe:
+        *op = CompareOp::kGe;
+        break;
+      default:
+        return Errorf("expected comparison operator");
     }
     Advance();
     return Status::OK();
@@ -269,20 +282,16 @@ class Parser {
     return Errorf("expected literal");
   }
 
-  static bool IsAggName(const std::string& word, AggFunc* out) {
-    std::string upper;
-    for (char c : word) {
-      upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-    }
-    if (upper == "SUM") {
+  static bool IsAggName(std::string_view word, AggFunc* out) {
+    if (EqualsUpper(word, "SUM")) {
       *out = AggFunc::kSum;
-    } else if (upper == "COUNT") {
+    } else if (EqualsUpper(word, "COUNT")) {
       *out = AggFunc::kCount;
-    } else if (upper == "MIN") {
+    } else if (EqualsUpper(word, "MIN")) {
       *out = AggFunc::kMin;
-    } else if (upper == "MAX") {
+    } else if (EqualsUpper(word, "MAX")) {
       *out = AggFunc::kMax;
-    } else if (upper == "AVG") {
+    } else if (EqualsUpper(word, "AVG")) {
       *out = AggFunc::kAvg;
     } else {
       return false;

@@ -18,7 +18,7 @@ const char* ColumnTypeToString(ColumnType t) {
   return "unknown";
 }
 
-bool ParseColumnType(const std::string& name, ColumnType* out) {
+bool ParseColumnType(std::string_view name, ColumnType* out) {
   if (name == "int") {
     *out = ColumnType::kInt;
   } else if (name == "long") {

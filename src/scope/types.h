@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/symbol_table.h"
@@ -23,7 +24,7 @@ const char* ColumnTypeToString(ColumnType t);
 
 /// Parses a type name ("int", "long", "double", "string", "bool"); returns
 /// false if unknown.
-bool ParseColumnType(const std::string& name, ColumnType* out);
+bool ParseColumnType(std::string_view name, ColumnType* out);
 
 /// Typical serialized width in bytes, used by the statistics layer.
 int ColumnTypeWidth(ColumnType t);

@@ -1,6 +1,10 @@
 // Flighting service and Stats & Insight Service tests.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "flighting/flighting.h"
 #include "obs/metrics.h"
 #include "sis/sis.h"
@@ -166,6 +170,148 @@ TEST(SisTest, ParseRejectsMalformedFiles) {
   EXPECT_FALSE(sis::HintFile::Parse("no header\n").ok());
   EXPECT_FALSE(sis::HintFile::Parse("# ok\nbadrow\n").ok());
   EXPECT_FALSE(sis::HintFile::Parse("# ok\na,1,sideways\n").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic fuzzer for HintFile::Parse: seed-driven mutations of
+// serialized hint files. Every mutant must parse or fail with a ParseError,
+// repeat identically, and a file that parses must round-trip through
+// Serialize.
+// ---------------------------------------------------------------------------
+
+sis::HintFile RandomHintFile(Rng* rng) {
+  static const std::vector<std::string> kNames = {
+      "tpl_0", "TemplateB", "job with spaces", "\xc3\xa9t\xc3\xa9",
+      "x#y", "a\tb", "T"};
+  sis::HintFile file;
+  file.day = static_cast<int>(rng->UniformInt(uint64_t{400}));
+  const int rows = static_cast<int>(rng->UniformInt(uint64_t{6}));
+  for (int r = 0; r < rows; ++r) {
+    sis::HintEntry e;
+    e.template_name = kNames[rng->UniformInt(kNames.size())] + "_" +
+                      std::to_string(r);
+    e.rule_id = static_cast<int>(
+        rng->UniformInt(uint64_t{opt::RuleRegistry::kNumRules}));
+    e.enable = rng->Bernoulli(0.5);
+    file.entries.push_back(std::move(e));
+  }
+  return file;
+}
+
+/// Byte offsets just past each '\n' (plus 0): where a line may start.
+std::vector<size_t> LineStarts(const std::string& text) {
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') starts.push_back(i + 1);
+  }
+  return starts;
+}
+
+std::string MutateHintFile(const std::string& text, Rng* rng) {
+  static const std::vector<std::string> kInts = {
+      "-1", "-0", "256", "2147483648", "99999999999999999999", "000000001",
+      "1e3", "+5", "", " 7"};
+  std::string out = text;
+  const std::vector<size_t> lines = LineStarts(text);
+  switch (rng->UniformInt(uint64_t{8})) {
+    case 0: {  // byte flips, non-ASCII bytes included
+      const int flips = 1 + static_cast<int>(rng->UniformInt(uint64_t{3}));
+      for (int f = 0; f < flips; ++f) {
+        out[rng->UniformInt(out.size())] =
+            static_cast<char>(rng->UniformInt(uint64_t{256}));
+      }
+      return out;
+    }
+    case 1:  // truncation
+      out.resize(rng->UniformInt(out.size() + 1));
+      return out;
+    case 2: {  // duplicated header, at the top or between rows
+      const std::string header = text.substr(0, text.find('\n') + 1);
+      out.insert(lines[rng->UniformInt(lines.size())], header);
+      return out;
+    }
+    case 3:  // missing header
+      return text.substr(text.find('\n') + 1);
+    case 4:  // an extra comma anywhere
+      out.insert(rng->UniformInt(out.size() + 1), ",");
+      return out;
+    case 5: {  // a huge, negative or malformed int as a rule id or the day
+      const std::string value = kInts[rng->UniformInt(kInts.size())];
+      const size_t line = lines[rng->UniformInt(lines.size())];
+      const size_t end = out.find('\n', line);
+      if (line == 0) {
+        const size_t eq = out.find("day=");
+        out.replace(eq + 4, end - eq - 4, value);
+      } else if (end != std::string::npos) {
+        const size_t c1 = out.find(',', line);
+        const size_t c2 = out.find(',', c1 + 1);
+        out.replace(c1 + 1, c2 - c1 - 1, value);
+      }
+      return out;
+    }
+    case 6: {  // CRLF line ends, everywhere or on one line
+      const bool all = rng->Bernoulli(0.5);
+      std::string crlf;
+      for (char c : text) {
+        if (c == '\n' && (all || rng->Bernoulli(0.3))) crlf += '\r';
+        crlf += c;
+      }
+      return crlf;
+    }
+    default: {  // a duplicated row, or a blank line
+      const size_t line = lines[rng->UniformInt(lines.size())];
+      const size_t end = out.find('\n', line);
+      if (rng->Bernoulli(0.5) || end == std::string::npos) {
+        out.insert(line, "\n");
+      } else {
+        out.insert(end + 1, text.substr(line, end + 1 - line));
+      }
+      return out;
+    }
+  }
+}
+
+TEST(SisFuzzTest, HintFileMutantsParseOrFailCleanlyAndRoundTrip) {
+  constexpr int kFiles = 12;
+  constexpr int kMutantsPerFile = 250;
+  Rng rng(0x51f0f022ULL);
+  int ok = 0, errors = 0;
+  for (int f = 0; f < kFiles; ++f) {
+    const std::string text = RandomHintFile(&rng).Serialize();
+    ASSERT_TRUE(sis::HintFile::Parse(text).ok()) << text;
+    for (int m = 0; m < kMutantsPerFile; ++m) {
+      const std::string mutant = MutateHintFile(text, &rng);
+      auto first = sis::HintFile::Parse(mutant);
+      auto again = sis::HintFile::Parse(mutant);
+      if (!first.ok()) {
+        ++errors;
+        EXPECT_EQ(first.status().code(), StatusCode::kParseError)
+            << first.status() << "\n" << mutant;
+        EXPECT_EQ(first.status().ToString(), again.status().ToString())
+            << mutant;
+        continue;
+      }
+      ++ok;
+      ASSERT_TRUE(again.ok()) << again.status() << "\n" << mutant;
+      const std::string serialized = first->Serialize();
+      EXPECT_EQ(serialized, again->Serialize()) << mutant;
+      auto reparsed = sis::HintFile::Parse(serialized);
+      ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << serialized;
+      EXPECT_EQ(reparsed->day, first->day) << mutant;
+      ASSERT_EQ(reparsed->entries.size(), first->entries.size()) << mutant;
+      for (size_t i = 0; i < first->entries.size(); ++i) {
+        EXPECT_EQ(reparsed->entries[i].template_name,
+                  first->entries[i].template_name);
+        EXPECT_EQ(reparsed->entries[i].rule_id, first->entries[i].rule_id);
+        EXPECT_EQ(reparsed->entries[i].enable, first->entries[i].enable);
+      }
+      EXPECT_EQ(reparsed->Serialize(), serialized) << mutant;
+    }
+  }
+  // The mutants must reach both outcomes, or the fuzzer tests less than it
+  // claims.
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(errors, 0);
 }
 
 TEST(SisTest, UploadValidatesEntries) {

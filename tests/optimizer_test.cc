@@ -241,27 +241,28 @@ TEST(CostModelTest, ChoosePartitionsClampsAndScales) {
 
 TEST(CostModelTest, BroadcastCostGrowsWithConsumers) {
   CostModel model;
-  PhysicalNode node;
+  CostInputs node;
   node.kind = PhysOpKind::kExchangeBroadcast;
   node.est_rows = 1000;
   node.est_bytes = 1.0e6;
   node.partitions = 10;
-  double c10 = model.LocalCost(node, {1000}, {1.0e6});
+  node.child_rows = {1000};
+  node.child_bytes = {1.0e6};
+  double c10 = model.LocalCost(node);
   node.partitions = 100;
-  double c100 = model.LocalCost(node, {1000}, {1.0e6});
+  double c100 = model.LocalCost(node);
   EXPECT_GT(c100, c10 * 5);
 }
 
 TEST(CostModelTest, MergeJoinIncludesSortCost) {
   CostModel model;
-  PhysicalNode hash, merge;
+  CostInputs hash, merge;
   hash.kind = PhysOpKind::kHashJoin;
   merge.kind = PhysOpKind::kMergeJoin;
   hash.partitions = merge.partitions = 4;
-  std::vector<double> rows = {1.0e7, 1.0e7};
-  std::vector<double> bytes = {1.0e9, 1.0e9};
-  EXPECT_GT(model.LocalCost(merge, rows, bytes),
-            model.LocalCost(hash, rows, bytes));
+  hash.child_rows = merge.child_rows = {1.0e7, 1.0e7};
+  hash.child_bytes = merge.child_bytes = {1.0e9, 1.0e9};
+  EXPECT_GT(model.LocalCost(merge), model.LocalCost(hash));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "scope/compiler.h"
 #include "scope/lexer.h"
@@ -26,17 +29,17 @@ TEST(LexerTest, TokenizesAllCategories) {
   const auto& ts = *tokens;
   EXPECT_EQ(ts[0].kind, TokenKind::kIdentifier);
   EXPECT_EQ(ts[0].text, "rs");
-  EXPECT_TRUE(ts[1].IsSymbol("="));
-  EXPECT_TRUE(ts[2].IsKeyword("SELECT"));
+  EXPECT_TRUE(ts[1].Is(Punct::kAssign));
+  EXPECT_TRUE(ts[2].Is(Keyword::kSelect));
   EXPECT_EQ(ts.back().kind, TokenKind::kEnd);
 }
 
 TEST(LexerTest, KeywordsAreCaseInsensitive) {
   auto tokens = Tokenize("select From wHeRe");
   ASSERT_TRUE(tokens.ok());
-  EXPECT_TRUE((*tokens)[0].IsKeyword("SELECT"));
-  EXPECT_TRUE((*tokens)[1].IsKeyword("FROM"));
-  EXPECT_TRUE((*tokens)[2].IsKeyword("WHERE"));
+  EXPECT_TRUE((*tokens)[0].Is(Keyword::kSelect));
+  EXPECT_TRUE((*tokens)[1].Is(Keyword::kFrom));
+  EXPECT_TRUE((*tokens)[2].Is(Keyword::kWhere));
 }
 
 TEST(LexerTest, CommentsAndLinesTracked) {
@@ -67,13 +70,29 @@ TEST(LexerTest, NumbersIncludingNegativeAndDecimal) {
   }
 }
 
+TEST(LexerTest, NumberValuesMatchStrtod) {
+  const std::string huge(400, '9');
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  for (const std::string& text :
+       {std::string("7"), std::string("2.5"), std::string("-4.25"),
+        std::string("1."), std::string("0.1"), huge, "-" + huge, tiny,
+        "-" + tiny}) {
+    auto tokens = Tokenize(text);
+    ASSERT_TRUE(tokens.ok()) << text;
+    ASSERT_EQ((*tokens)[0].kind, TokenKind::kNumber) << text;
+    const double want = std::strtod(text.c_str(), nullptr);
+    EXPECT_EQ((*tokens)[0].number, want) << text;
+    EXPECT_EQ(std::signbit((*tokens)[0].number), std::signbit(want)) << text;
+  }
+}
+
 TEST(LexerTest, MultiCharOperators) {
   auto tokens = Tokenize("== != <= >= < >");
   ASSERT_TRUE(tokens.ok());
-  EXPECT_TRUE((*tokens)[0].IsSymbol("=="));
-  EXPECT_TRUE((*tokens)[1].IsSymbol("!="));
-  EXPECT_TRUE((*tokens)[2].IsSymbol("<="));
-  EXPECT_TRUE((*tokens)[3].IsSymbol(">="));
+  EXPECT_TRUE((*tokens)[0].Is(Punct::kEq));
+  EXPECT_TRUE((*tokens)[1].Is(Punct::kNe));
+  EXPECT_TRUE((*tokens)[2].Is(Punct::kLe));
+  EXPECT_TRUE((*tokens)[3].Is(Punct::kGe));
 }
 
 TEST(LexerTest, RejectsUnknownCharacter) {
@@ -391,41 +410,133 @@ std::string Mutate(const std::string& script, Rng* rng) {
   }
 }
 
-TEST(ParserFuzzTest, MutantsCompileOrFailCleanlyAndRepeat) {
-  constexpr int kJobs = 12;
+/// One mutant of the fuzz corpus and the job it was derived from.
+struct Mutant {
+  const workload::JobInstance* job;
+  std::string source;
+};
+
+/// The fuzz corpus: `kMutantsPerJob` seed-driven mutants of each job, in
+/// generation order.
+std::vector<Mutant> MutantCorpus(
+    const std::vector<workload::JobInstance>& jobs) {
   constexpr int kMutantsPerJob = 250;
-  workload::WorkloadDriver driver(
-      {.num_templates = 24, .jobs_per_day = kJobs, .seed = 0xf022});
-  const std::vector<workload::JobInstance> jobs = driver.DayJobs(0);
   Rng rng(0x5eed0f022ULL);
-  int ok = 0, parse_errors = 0, compile_errors = 0;
+  std::vector<Mutant> corpus;
+  for (const workload::JobInstance& job : jobs) {
+    for (int m = 0; m < kMutantsPerJob; ++m) {
+      corpus.push_back({&job, Mutate(job.script, &rng)});
+    }
+  }
+  return corpus;
+}
+
+std::vector<workload::JobInstance> FuzzJobs() {
+  workload::WorkloadDriver driver(
+      {.num_templates = 24, .jobs_per_day = 12, .seed = 0xf022});
+  return driver.DayJobs(0);
+}
+
+TEST(ParserFuzzTest, MutantsCompileOrFailCleanlyAndRepeat) {
+  const std::vector<workload::JobInstance> jobs = FuzzJobs();
   for (const workload::JobInstance& job : jobs) {
     ASSERT_TRUE(CompileSource(job.script, job.catalog).ok()) << job.script;
-    for (int m = 0; m < kMutantsPerJob; ++m) {
-      const std::string mutant = Mutate(job.script, &rng);
-      auto first = CompileSource(mutant, job.catalog);
-      auto again = CompileSource(mutant, job.catalog);
-      if (first.ok()) {
-        ++ok;
-        ASSERT_TRUE(again.ok()) << again.status() << "\n" << mutant;
-        EXPECT_EQ(first->ToString(), again->ToString()) << mutant;
-        continue;
-      }
-      const Status& status = first.status();
-      if (status.code() == StatusCode::kParseError) {
-        ++parse_errors;
-      } else {
-        EXPECT_TRUE(status.IsCompileError()) << status << "\n" << mutant;
-        ++compile_errors;
-      }
-      EXPECT_EQ(status.ToString(), again.status().ToString()) << mutant;
+  }
+  int ok = 0, parse_errors = 0, compile_errors = 0;
+  for (const Mutant& mutant : MutantCorpus(jobs)) {
+    auto first = CompileSource(mutant.source, mutant.job->catalog);
+    auto again = CompileSource(mutant.source, mutant.job->catalog);
+    if (first.ok()) {
+      ++ok;
+      ASSERT_TRUE(again.ok()) << again.status() << "\n" << mutant.source;
+      EXPECT_EQ(first->ToString(), again->ToString()) << mutant.source;
+      continue;
     }
+    const Status& status = first.status();
+    if (status.code() == StatusCode::kParseError) {
+      ++parse_errors;
+    } else {
+      EXPECT_TRUE(status.IsCompileError()) << status << "\n" << mutant.source;
+      ++compile_errors;
+    }
+    EXPECT_EQ(status.ToString(), again.status().ToString()) << mutant.source;
   }
   // The mutants must reach every outcome, or the fuzzer tests less than it
   // claims.
   EXPECT_GT(ok, 0);
   EXPECT_GT(parse_errors, 0);
   EXPECT_GT(compile_errors, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Lexer golden: a pinned digest of every token (kind, text, line) and every
+// Tokenize error text over the compile-golden fig10 scripts (as generated,
+// lower-cased and in alternating case) and the fuzz corpus above. It pins the token stream across changes to how tokens are
+// represented and matched.
+// ---------------------------------------------------------------------------
+
+/// Token stream of `source` as text, or its error Status text.
+std::string TokenDump(const std::string& source) {
+  auto tokens = Tokenize(source);
+  if (!tokens.ok()) return tokens.status().ToString();
+  std::string out;
+  for (const Token& t : *tokens) {
+    out += std::to_string(static_cast<int>(t.kind));
+    out += '|';
+    out.append(t.text.data(), t.text.size());
+    out += '|';
+    out += std::to_string(t.line);
+    out += '\n';
+  }
+  return out;
+}
+
+/// `script` with every letter lower-cased, or with letters alternating
+/// upper/lower case: keywords must still match, whatever their case.
+std::string Recase(const std::string& script, bool alternate) {
+  std::string out = script;
+  bool upper = false;
+  for (char& c : out) {
+    if (!std::isalpha(static_cast<unsigned char>(c))) continue;
+    upper = alternate && !upper;
+    c = static_cast<char>(upper ? std::toupper(static_cast<unsigned char>(c))
+                                : std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+// Recorded on the build whose tokens carried std::string text and whose
+// keywords were matched through an upper-cased string set. An intentional
+// change to the token stream updates this value and says why in CHANGES.md.
+constexpr uint64_t kLexerGoldenDigest = 0x729aee4ec8ac171cULL;
+
+TEST(LexerGoldenTest, TokenStreamsMatchPinnedDigest) {
+  // The first 48 jobs of day 0 of the fig10 workload (seed 2022): the
+  // scripts the optimizer's compile golden pins.
+  workload::WorkloadDriver fig10(
+      {.num_templates = 90, .jobs_per_day = 150, .seed = 2022});
+  std::vector<workload::JobInstance> golden = fig10.DayJobs(0);
+  golden.resize(48);
+  const std::vector<workload::JobInstance> fuzz_jobs = FuzzJobs();
+  std::string per_script;
+  int errors = 0;
+  auto add = [&](const std::string& source) {
+    const std::string dump = TokenDump(source);
+    if (!Tokenize(source).ok()) ++errors;
+    per_script += std::to_string(HashString(dump));
+    per_script += '\n';
+  };
+  for (const workload::JobInstance& job : golden) {
+    add(job.script);
+    add(Recase(job.script, /*alternate=*/false));
+    add(Recase(job.script, /*alternate=*/true));
+  }
+  for (const Mutant& mutant : MutantCorpus(fuzz_jobs)) add(mutant.source);
+  // The corpus must reach the lexer's error paths, or the golden pins less
+  // than it claims.
+  EXPECT_GT(errors, 0);
+  const uint64_t digest = HashString(per_script);
+  EXPECT_EQ(digest, kLexerGoldenDigest) << std::hex << digest;
 }
 
 }  // namespace
