@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
+#include "service/advisor_service.h"
 #include "telemetry/workload_view.h"
 #include "workload/workload.h"
 
@@ -314,7 +315,9 @@ void BM_PersonalizerRetrain(benchmark::State& state) {
   for (auto _ : state) {
     // Feed one retrain batch off the clock; measure only the retrain.
     state.PauseTiming();
-    auto combined = bandit::CombineActionSet(context, actions);
+    auto inputs = std::make_shared<const bandit::RankInputs>(
+        bandit::RankInputs{context, actions,
+                           bandit::CombineActionSet(context, actions)});
     for (int k = 0; k < kBatch; ++k) {
       bandit::RankRequest req;
       // Reserved build + move assign: sidesteps the GCC 12 -Wrestrict
@@ -324,9 +327,8 @@ void BM_PersonalizerRetrain(benchmark::State& state) {
       event_id.push_back('r');
       event_id += std::to_string(i++);
       req.event_id = std::move(event_id);
-      req.actions = actions;
+      req.inputs = inputs;
       req.explore_uniform = true;
-      req.precombined = combined;
       auto resp = service.Rank(req);
       service.Reward(resp->event_id, k % 2 == 0 ? 1.5 : 0.5).ok();
     }
@@ -361,19 +363,20 @@ void BM_PersonalizerRank(benchmark::State& state) {
     event_id.push_back('e');
     event_id += std::to_string(i++);
     req.event_id = std::move(event_id);
-    req.context = shared;
-    req.actions = actions;
+    req.inputs = std::make_shared<const bandit::RankInputs>(
+        bandit::RankInputs{shared, actions, {}});
     auto resp = service.Rank(req);
     benchmark::DoNotOptimize(resp);
   }
 }
 BENCHMARK(BM_PersonalizerRank);
 
-// BM_PersonalizerRank combines (and now canonicalizes) context x action
-// inline per call — the cold path. The pipeline always ranks through the
-// Recommender's per-job combined-feature cache instead; this variant
-// measures that served path (one CombineActionSet amortized across the
-// probes + acting arm of a job, here across the whole run).
+// BM_PersonalizerRank ranks inline: the service copies the request's
+// features once and combines every arm into per-thread buffers per call —
+// the advisor service's path, which serves every Rank request. The offline
+// pipeline ranks through the Recommender's per-job combined-feature cache
+// instead; this variant measures that path (one CombineActionSet amortized
+// across the probes + acting arm of a job, here across the whole run).
 void BM_PersonalizerRankPrecombined(benchmark::State& state) {
   bandit::PersonalizerService service({.seed = 3});
   bandit::FeatureVector shared = BenchContext();
@@ -382,7 +385,8 @@ void BM_PersonalizerRankPrecombined(benchmark::State& state) {
     actions.push_back({std::to_string(bit),
                        bandit::BuildActionFeatures(bit, false)});
   }
-  auto combined = bandit::CombineActionSet(shared, actions);
+  auto inputs = std::make_shared<const bandit::RankInputs>(bandit::RankInputs{
+      shared, actions, bandit::CombineActionSet(shared, actions)});
   uint64_t i = 0;
   for (auto _ : state) {
     bandit::RankRequest req;
@@ -391,13 +395,45 @@ void BM_PersonalizerRankPrecombined(benchmark::State& state) {
     event_id.push_back('e');
     event_id += std::to_string(i++);
     req.event_id = std::move(event_id);
-    req.actions = actions;
-    req.precombined = combined;
+    req.inputs = inputs;
     auto resp = service.Rank(req);
     benchmark::DoNotOptimize(resp);
   }
 }
 BENCHMARK(BM_PersonalizerRankPrecombined);
+
+// One advisor-service Rank + typed Reward on a 9-arm request (an 8-bit span:
+// 97 context features, the no-op plus 8 flips) — the serve_rank request
+// shape. Every 128 rewards a retrain drains the pending batch off the clock,
+// as serve_rank's trainer thread does.
+void BM_AdvisorRankReward(benchmark::State& state) {
+  service::AdvisorService advisor;
+  service::TenantSession session = *advisor.OpenTenant("bench");
+  bandit::JobContext ctx;
+  ctx.span = BitVector256::FromPositions({3, 41, 44, 50, 101, 160, 203, 204});
+  ctx.row_count = 1e8;
+  ctx.est_cost = 1e4;
+  service::RankRequest req;
+  req.context = bandit::BuildContextFeatures(ctx);
+  req.actions.push_back({"noop", bandit::BuildActionFeatures(-1, true)});
+  for (int bit : ctx.span.Positions()) {
+    req.actions.push_back({"flip_" + std::to_string(bit),
+                           bandit::BuildActionFeatures(bit, false)});
+  }
+  uint64_t i = 0;
+  for (auto _ : state) {
+    req.event_id = std::to_string(i++);
+    auto ranked = session.Rank(req);
+    auto rewarded = session.Reward(ranked->event, 1.0);
+    benchmark::DoNotOptimize(rewarded);
+    if (i % 128 == 0) {
+      state.PauseTiming();
+      session.TrainAndPublish();
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_AdvisorRankReward);
 
 // --- Data plane: batched A/A runs over one prepared profile, per-arm
 // scoring of a rank request, and the combine arena.

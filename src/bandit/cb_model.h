@@ -59,6 +59,8 @@ class CbModel {
   void Train(const std::vector<LoggedExample>& examples);
 
   size_t updates() const { return updates_; }
+  /// The hashed weight column (FeatureVector::kDim entries).
+  const std::vector<float>& weights() const { return weights_; }
   const CbModelConfig& config() const { return config_; }
 
  private:

@@ -84,6 +84,17 @@ class CombineArena {
     std::vector<double> values;
     indices.reserve(size_hint);
     values.reserve(size_hint);
+    const double norm_sq = EmitInto(&indices, &values);
+    return SparseVector::FromCanonical(std::move(indices), std::move(values),
+                                       norm_sq);
+  }
+
+  /// Emit() into caller-owned columns (cleared first, capacity kept);
+  /// returns the squared L2 norm.
+  double EmitInto(std::vector<uint32_t>* indices,
+                  std::vector<double>* values) {
+    indices->clear();
+    values->clear();
     double norm_sq = 0.0;
     // One scan over the summary line finds every region with a hot word;
     // the drain loop then touches only live first-level words.
@@ -104,14 +115,13 @@ class CombineArena {
               static_cast<uint32_t>(std::countr_zero(word));
           word &= word - 1;
           const double sum = value_[index];
-          indices.push_back(index);
-          values.push_back(sum);
+          indices->push_back(index);
+          values->push_back(sum);
           norm_sq += sum * sum;
         }
       }
     }
-    return SparseVector::FromCanonical(std::move(indices), std::move(values),
-                                       norm_sq);
+    return norm_sq;
   }
 
   /// Emit() variant draining into a sorted-coalesced pair vector, for the
@@ -158,6 +168,21 @@ CombineArena& ThreadArena() {
 /// order (unstable std::sort) byte-identical to the previous tree.
 constexpr size_t kArenaThreshold = 256;
 
+/// Splits sorted, coalesced pairs into SoA columns (cleared first, then
+/// reserved to the pair count).
+void SplitColumns(const std::vector<std::pair<uint32_t, double>>& pairs,
+                  std::vector<uint32_t>* indices,
+                  std::vector<double>* values) {
+  indices->clear();
+  values->clear();
+  indices->reserve(pairs.size());
+  values->reserve(pairs.size());
+  for (const auto& [index, value] : pairs) {
+    indices->push_back(index);
+    values->push_back(value);
+  }
+}
+
 SparseVector CanonicalizePairs(std::vector<std::pair<uint32_t, double>> raw) {
   if (raw.size() >= kArenaThreshold) {
     CombineArena& arena = ThreadArena();
@@ -167,12 +192,7 @@ SparseVector CanonicalizePairs(std::vector<std::pair<uint32_t, double>> raw) {
   const double norm_sq = SortAndCoalesce(&raw);
   std::vector<uint32_t> indices;
   std::vector<double> values;
-  indices.reserve(raw.size());
-  values.reserve(raw.size());
-  for (const auto& [index, value] : raw) {
-    indices.push_back(index);
-    values.push_back(value);
-  }
+  SplitColumns(raw, &indices, &values);
   return SparseVector::FromCanonical(std::move(indices), std::move(values),
                                      norm_sq);
 }
@@ -307,11 +327,19 @@ FeatureVector BuildActionFeatures(int rule_id, bool is_noop) {
 
 SparseVector CombineFeatures(const FeatureVector& shared,
                              const FeatureVector& action) {
+  SparseVector combined;
+  CombineFeaturesInto(shared, action, &combined);
+  return combined;
+}
+
+void CombineFeaturesInto(const FeatureVector& shared,
+                         const FeatureVector& action, SparseVector* out) {
   const size_t raw_size =
       shared.size() + action.size() + shared.size() * action.size();
   if (raw_size >= kArenaThreshold) {
-    // Hot path (~2000 raw entries per combine): accumulate straight into
-    // the per-thread arena — no intermediate pair vector, no sort pass.
+    // Hot path (hundreds to thousands of raw entries per combine):
+    // accumulate straight into the per-thread arena — no intermediate pair
+    // vector, no sort pass.
     CombineArena& arena = ThreadArena();
     for (const auto& [i, v] : shared.entries) arena.Add(i, v);
     for (const auto& [i, v] : action.entries) arena.Add(i, v);
@@ -321,19 +349,24 @@ SparseVector CombineFeatures(const FeatureVector& shared,
         arena.Add(MixPair(si, ai) % FeatureVector::kDim, sv * av);
       }
     }
-    return arena.Emit(raw_size);
+    out->indices_.reserve(raw_size);
+    out->values_.reserve(raw_size);
+    out->norm_sq_ = arena.EmitInto(&out->indices_, &out->values_);
+    return;
   }
-  std::vector<std::pair<uint32_t, double>> combined;
-  combined.reserve(raw_size);
-  for (const auto& [i, v] : shared.entries) combined.emplace_back(i, v);
-  for (const auto& [i, v] : action.entries) combined.emplace_back(i, v);
+  // Small vectors: sort and coalesce a per-thread pair buffer.
+  thread_local std::vector<std::pair<uint32_t, double>> raw;
+  raw.clear();
+  for (const auto& [i, v] : shared.entries) raw.emplace_back(i, v);
+  for (const auto& [i, v] : action.entries) raw.emplace_back(i, v);
   // Quadratic shared x action interactions.
   for (const auto& [si, sv] : shared.entries) {
     for (const auto& [ai, av] : action.entries) {
-      combined.emplace_back(MixPair(si, ai) % FeatureVector::kDim, sv * av);
+      raw.emplace_back(MixPair(si, ai) % FeatureVector::kDim, sv * av);
     }
   }
-  return SparseVector::Canonicalize(std::move(combined));
+  out->norm_sq_ = SortAndCoalesce(&raw);
+  SplitColumns(raw, &out->indices_, &out->values_);
 }
 
 std::shared_ptr<const SparseVector> CombineFeaturesShared(

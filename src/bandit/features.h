@@ -19,6 +19,8 @@
 
 namespace qo::bandit {
 
+struct FeatureVector;
+
 /// Canonical hashed sparse vector in structure-of-arrays form: a sorted
 /// index column and a parallel value column, exactly one entry per index
 /// (hash-collided duplicates are coalesced by summing their values at
@@ -60,6 +62,10 @@ class SparseVector {
   size_t size() const { return indices_.size(); }
 
  private:
+  friend void CombineFeaturesInto(const FeatureVector& shared,
+                                  const FeatureVector& action,
+                                  SparseVector* out);
+
   std::vector<uint32_t> indices_;
   std::vector<double> values_;
   double norm_sq_ = 0.0;
@@ -111,6 +117,13 @@ FeatureVector BuildActionFeatures(int rule_id, bool is_noop);
 /// The result is canonical (sorted, coalesced, norm cached).
 SparseVector CombineFeatures(const FeatureVector& shared,
                              const FeatureVector& action);
+
+/// CombineFeatures into `out`, reusing its columns' capacity: the result is
+/// bit-identical to CombineFeatures, and once `out` has grown to the
+/// combined size a call allocates nothing. This is how Rank scores inline
+/// arms from per-thread buffers without materializing a vector per arm.
+void CombineFeaturesInto(const FeatureVector& shared,
+                         const FeatureVector& action, SparseVector* out);
 
 /// CombineFeatures into a shareable immutable vector — the unit of the
 /// combined-feature cache (one combine serves every Rank call, the event

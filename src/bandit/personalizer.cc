@@ -33,6 +33,58 @@ const BanditCounters& Counters() {
   return counters;
 }
 
+/// This thread's combine buffers, one per arm, grown to `arms`. Combining
+/// an arm into its buffer reuses the buffer's capacity, so scoring an
+/// inline request allocates nothing in steady state.
+std::vector<SparseVector>& ArmBuffers(size_t arms) {
+  thread_local std::vector<SparseVector> buffers;
+  if (buffers.size() < arms) buffers.resize(arms);
+  return buffers;
+}
+
+/// Calls fn(i, score) for every arm of `inputs` in arm order (see
+/// ScoreArms): precombined arms score in one interleaved batch, inline arms
+/// are combined into this thread's arm buffers (left holding them for the
+/// caller) and scored from there.
+template <typename Fn>
+void ScoreEachArm(const CbModel& model, const RankInputs& inputs, Fn&& fn) {
+  if (!inputs.precombined.empty()) {
+    const std::vector<double> scores = model.ScoreBatch(inputs.precombined);
+    for (size_t i = 0; i < scores.size(); ++i) fn(i, scores[i]);
+    return;
+  }
+  std::vector<SparseVector>& arms = ArmBuffers(inputs.actions.size());
+  for (size_t i = 0; i < inputs.actions.size(); ++i) {
+    CombineFeaturesInto(inputs.context, inputs.actions[i].features, &arms[i]);
+    fn(i, model.Score(arms[i]));
+  }
+}
+
+/// Greedy argmax of `inputs`' arms under `model`. Near-ties are broken
+/// uniformly at random when `rng` is provided — an untrained model
+/// therefore ranks uniformly-at-random, exactly the CB cold-start behaviour
+/// the paper describes (Sec. 3.1). Pass nullptr for deterministic
+/// (first-wins) selection, used by offline evaluation. `rng` is drawn from
+/// only on score comparisons, in arm order.
+size_t BestAction(const CbModel& model, const RankInputs& inputs, Rng* rng) {
+  constexpr double kTieTolerance = 1e-9;
+  size_t best = 0;
+  double best_score = -1e300;
+  size_t ties = 0;
+  ScoreEachArm(model, inputs, [&](size_t i, double s) {
+    if (s > best_score + kTieTolerance) {
+      best_score = s;
+      best = i;
+      ties = 1;
+    } else if (rng != nullptr && s > best_score - kTieTolerance) {
+      // Reservoir-sample among near-ties for uniform cold-start ranking.
+      ++ties;
+      if (rng->UniformInt(ties) == 0) best = i;
+    }
+  });
+  return best;
+}
+
 }  // namespace
 
 std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
@@ -45,50 +97,44 @@ std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
   return combined;
 }
 
+std::vector<double> ScoreArms(const CbModel& model, const RankInputs& inputs) {
+  std::vector<double> scores(inputs.actions.size());
+  ScoreEachArm(model, inputs, [&](size_t i, double s) { scores[i] = s; });
+  return scores;
+}
+
 PersonalizerService::PersonalizerService(PersonalizerConfig config)
-    : config_(config), model_(config.model), rng_(config.seed) {
+    : config_(config),
+      model_(std::make_shared<CbModel>(config.model)),
+      rng_(config.seed) {
   Counters();  // register the series: they read 0 until the first event
 }
 
 Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
                                                const CbModel* serving_model) {
   QO_OBS_SPAN("rank");
-  if (request.actions.empty()) {
+  const RankInputs* inputs = request.inputs.get();
+  if (inputs == nullptr || inputs->actions.empty()) {
     return Status::InvalidArgument("Rank requires at least one action");
   }
-  if (!request.precombined.empty()) {
-    if (request.precombined.size() != request.actions.size()) {
+  const size_t n = inputs->actions.size();
+  const bool precombined = !inputs->precombined.empty();
+  if (precombined) {
+    if (inputs->precombined.size() != n) {
       return Status::InvalidArgument(
           "precombined features disagree with action set: " +
-          std::to_string(request.precombined.size()) + " vs " +
-          std::to_string(request.actions.size()));
+          std::to_string(inputs->precombined.size()) + " vs " +
+          std::to_string(n));
     }
-    for (const auto& combined : request.precombined) {
+    for (const auto& combined : inputs->precombined) {
       if (combined == nullptr) {
         return Status::InvalidArgument("null precombined feature vector");
       }
     }
   }
-  const EventId event{event_syms_.Intern(request.event_id)};
-  if (event_index_.count(event) > 0) {
+  if (event_index_.count(request.event_id) > 0) {
     return Status::InvalidArgument("duplicate event id: " + request.event_id);
   }
-  LoggedEvent ev;
-  ev.id = event;
-  if (!request.precombined.empty()) {
-    // Shared combined-feature cache hit: adopt the caller's vectors. The
-    // probes and acting arm of one job all log the same shared_ptrs.
-    ev.action_features = request.precombined;
-    Counters().precombined_reused.Add(request.precombined.size());
-  } else {
-    ev.action_features.reserve(request.actions.size());
-    for (const auto& action : request.actions) {
-      ev.action_features.push_back(
-          CombineFeaturesShared(request.context, action.features));
-    }
-    Counters().combines.Add(request.actions.size());
-  }
-  const size_t n = request.actions.size();
   size_t chosen;
   double probability;
   if (request.explore_uniform) {
@@ -98,7 +144,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     // The serving model may be a frozen snapshot (the advisor service's RCU
     // published model); the learner's own model is the offline default.
     size_t best = BestAction(
-        serving_model != nullptr ? *serving_model : model_, ev, &rng_);
+        serving_model != nullptr ? *serving_model : *model_, *inputs, &rng_);
     if (rng_.Bernoulli(config_.epsilon)) {
       chosen = rng_.UniformInt(n);
     } else {
@@ -108,92 +154,89 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     probability = chosen == best ? (1.0 - config_.epsilon) + uniform_part
                                  : uniform_part;
   }
+  LoggedEvent& ev = log_.emplace_back();
+  ev.id = request.event_id;
+  ev.inputs = request.inputs;
   ev.chosen = chosen;
   ev.probability = probability;
-  event_index_[event] = log_base_ + log_.size();
-  log_.push_back(std::move(ev));
+  if (precombined) {
+    // Shared combined-feature cache hit: log the caller's vector. The
+    // probes and acting arm of one job all log the same shared_ptrs.
+    ev.chosen_features = inputs->precombined[chosen];
+    Counters().precombined_reused.Add(n);
+  } else if (request.explore_uniform) {
+    ev.chosen_features = CombineFeaturesShared(
+        inputs->context, inputs->actions[chosen].features);
+    Counters().combines.Add();
+  } else {
+    // BestAction left every arm in this thread's buffers: copy out the
+    // chosen one, the only arm that outlives the call.
+    ev.chosen_features =
+        std::make_shared<const SparseVector>(ArmBuffers(n)[chosen]);
+    Counters().combines.Add(n);
+  }
+  const EventId event{log_base_ + log_.size() - 1};
+  event_index_.emplace(ev.id, event.index);
   Counters().ranks.Add();
-  CompactLog();
 
   RankResponse resp;
   resp.event_id = request.event_id;
   resp.event = event;
   resp.chosen_index = chosen;
-  resp.chosen_action_id = request.actions[chosen].action_id;
+  resp.chosen_action_id = inputs->actions[chosen].action_id;
   resp.probability = probability;
+  CompactLog();
   return resp;
-}
-
-size_t PersonalizerService::BestAction(const CbModel& model,
-                                       const LoggedEvent& ev,
-                                       Rng* rng) const {
-  constexpr double kTieTolerance = 1e-9;
-  // Score every arm first, then run the selection loop over the scores.
-  // Batch scores are bit-identical to Score() and the loop draws from `rng`
-  // only on score comparisons, so scoring ahead leaves the RNG stream
-  // unchanged.
-  const std::vector<double> scores = model.ScoreBatch(ev.action_features);
-  size_t best = 0;
-  double best_score = -1e300;
-  size_t ties = 0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const double s = scores[i];
-    if (s > best_score + kTieTolerance) {
-      best_score = s;
-      best = i;
-      ties = 1;
-    } else if (rng != nullptr && s > best_score - kTieTolerance) {
-      // Reservoir-sample among near-ties for uniform cold-start ranking.
-      ++ties;
-      if (rng->UniformInt(ties) == 0) best = i;
-    }
-  }
-  return best;
 }
 
 Status PersonalizerService::Reward(const std::string& event_id,
                                    double reward) {
-  // Find (not Intern): an id that was never ranked must not grow the table.
-  const EventId event{event_syms_.Find(event_id)};
-  if (!event.valid()) {
+  auto it = event_index_.find(event_id);
+  if (it == event_index_.end()) {
     Counters().reward_failures.Add();
     return Status::NotFound("unknown event id: " + event_id);
   }
-  return Reward(event, reward);
+  return Reward(EventId{it->second}, reward);
 }
 
 Status PersonalizerService::Reward(EventId event, double reward) {
   QO_OBS_SPAN("reward");
-  auto it = event_index_.find(event);
-  if (it == event_index_.end()) {
+  if (!event.valid() || event.index < log_base_ ||
+      event.index - log_base_ >= log_.size()) {
     Counters().reward_failures.Add();
     return Status::NotFound(
-        "unknown event id: " +
-        (event.valid() ? event_syms_.Resolve(event.value) : "<invalid>"));
+        event.valid()
+            ? "unknown or expired event #" + std::to_string(event.index)
+            : std::string("invalid event id"));
   }
-  LoggedEvent& ev = log_[it->second - log_base_];
+  LoggedEvent& ev = log_[event.index - log_base_];
   if (ev.has_reward) {
     Counters().reward_failures.Add();
-    return Status::FailedPrecondition("event already rewarded: " +
-                                      event_syms_.Resolve(event.value));
+    return Status::FailedPrecondition("event already rewarded: " + ev.id);
   }
   ev.has_reward = true;
   ev.reward = reward;
   ++rewarded_;
   Counters().reward_joins.Add();
-  // Queue for the next incremental retrain; the features stay shared with
-  // the event log (and the Recommender's cache) — no copy.
-  pending_.push_back({ev.action_features[ev.chosen], reward, ev.probability});
+  // Queue for the next incremental retrain. The vector moves: nothing reads
+  // a rewarded event's chosen vector from the log again (EvaluateOffline
+  // rescores from the logged inputs).
+  pending_.push_back({std::move(ev.chosen_features), reward, ev.probability});
   if (rewarded_ - rewarded_at_last_train_ >= config_.retrain_interval) {
     Retrain();
   }
   return Status::OK();
 }
 
+CbModel& PersonalizerService::MutableModel() {
+  if (model_.use_count() > 1) model_ = std::make_shared<CbModel>(*model_);
+  return *model_;
+}
+
 void PersonalizerService::Retrain() {
   QO_OBS_SPAN("retrain");
   if (!pending_.empty()) {
-    model_.Train(pending_);
+    MutableModel().Train(pending_);
     Counters().examples_trained.Add(pending_.size());
     // clear() keeps the batch buffer's capacity (bounded by the retrain
     // interval) so the next interval fills it without reallocating.
@@ -239,7 +282,7 @@ PersonalizerService::EvaluateOffline() const {
     logged_sum += ev.reward;
     // IPS: reward counts only when the target (greedy) policy agrees with
     // the logged action, re-weighted by the logging propensity.
-    if (BestAction(model_, ev, nullptr) == ev.chosen) {
+    if (BestAction(*model_, *ev.inputs, nullptr) == ev.chosen) {
       ips_sum += ev.reward / std::max(ev.probability, 1e-6);
     }
   }

@@ -195,14 +195,16 @@ std::vector<Recommendation> Recommender::RecommendDay(
     const JobFeatures& job = jobs[job_index];
     ++local.jobs;
     // One request per job, shared by every probe and the acting arm: only
-    // event_id and explore_uniform change between Rank calls. Its
-    // combined-feature cache holds one (context x actions) combine, shared
-    // (by pointer) with the Personalizer's event log and trainer.
+    // event_id and explore_uniform change between Rank calls. Its inputs
+    // hold one (context x actions) combine and are shared (by pointer) with
+    // the Personalizer's event log and trainer.
+    auto inputs = std::make_shared<bandit::RankInputs>();
+    inputs->context = bandit::BuildContextFeatures(job.ToContext());
+    inputs->actions = BuildActions(job.span);
+    inputs->precombined =
+        bandit::CombineActionSet(inputs->context, inputs->actions);
     bandit::RankRequest request;
-    request.context = bandit::BuildContextFeatures(job.ToContext());
-    request.actions = BuildActions(job.span);
-    request.precombined =
-        bandit::CombineActionSet(request.context, request.actions);
+    request.inputs = std::move(inputs);
     std::vector<int> span_bits = job.span.Positions();
 
     // --- Logging arm: uniform-at-random, always rewarded. ---

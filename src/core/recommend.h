@@ -116,9 +116,9 @@ class Recommender {
   ///
   /// The (context x actions) combined feature vectors are built once per
   /// job (CombineActionSet) and shared by every Rank call for that job —
-  /// all uniform probes plus the acting arm — via
-  /// RankRequest::precombined, so the Personalizer never recombines per
-  /// request.
+  /// all uniform probes plus the acting arm — via one shared RankInputs
+  /// with `precombined` set, so the Personalizer never recombines per
+  /// request and logs one copy of the job's features.
   std::vector<Recommendation> RecommendDay(
       const std::vector<JobFeatures>& jobs, int day,
       RecommenderStats* stats = nullptr,

@@ -567,19 +567,21 @@ RandomVsCbResult RunRandomVsCb(const ExperimentEnv& env, int cb_train_days,
     int random_rule = bits[rng.UniformInt(bits.size())];
     tally(&result.random, eval.recommender.EvaluateFlip(f, random_rule));
     // CB arm: greedy choice over the learned policy (action 0 = no-op).
-    bandit::RankRequest request;
-    request.event_id = "t3_" + f.row.job_id;
-    request.context = bandit::BuildContextFeatures(f.ToContext());
+    auto inputs = std::make_shared<bandit::RankInputs>();
+    inputs->context = bandit::BuildContextFeatures(f.ToContext());
     bandit::RankableAction noop;
     noop.action_id = "noop";
     noop.features = bandit::BuildActionFeatures(-1, true);
-    request.actions.push_back(std::move(noop));
+    inputs->actions.push_back(std::move(noop));
     for (int bit : bits) {
       bandit::RankableAction a;
       a.action_id = std::to_string(bit);
       a.features = bandit::BuildActionFeatures(bit, false);
-      request.actions.push_back(std::move(a));
+      inputs->actions.push_back(std::move(a));
     }
+    bandit::RankRequest request;
+    request.event_id = "t3_" + f.row.job_id;
+    request.inputs = std::move(inputs);
     auto rank = personalizer.Rank(request);
     int cb_rule = -1;
     if (rank.ok() && rank->chosen_index > 0) {

@@ -22,7 +22,8 @@ TenantConfig WithRetrainOwnership(TenantConfig cfg) {
 uint64_t ServiceSnapshot::Fingerprint(const ServiceSnapshot& snap) {
   uint64_t h = 0x9e3779b97f4a7c15ULL * (snap.sequence + 1);
   h ^= 0xbf58476d1ce4e5b9ULL * (snap.model_generation + 1);
-  h ^= 0x94d049bb133111ebULL * (static_cast<uint64_t>(snap.model.updates()) + 1);
+  h ^= 0x94d049bb133111ebULL *
+       (static_cast<uint64_t>(snap.model->updates()) + 1);
   if (snap.hints != nullptr) {
     h ^= 0xd6e8feb86659fd93ULL *
          (static_cast<uint64_t>(snap.hints->version()) + 1);
@@ -102,7 +103,7 @@ void AdvisorService::PublishLocked(TenantState& t) {
   auto snap = std::make_shared<ServiceSnapshot>();
   snap->sequence = ++t.publications;
   snap->model_generation = t.model_generation;
-  snap->model = t.personalizer.model();  // frozen copy, cheap (weights only)
+  snap->model = t.personalizer.shared_model();  // shared, not copied
   snap->hints = t.sis.BuildSnapshotView();
   snap->checksum = ServiceSnapshot::Fingerprint(*snap);
   t.snapshot.store(std::shared_ptr<const ServiceSnapshot>(std::move(snap)));
@@ -110,23 +111,30 @@ void AdvisorService::PublishLocked(TenantState& t) {
 }
 
 Result<RankResponse> AdvisorService::Rank(const RankRequest& request) {
+  return RankTenant(request.tenant, request);
+}
+
+Result<RankResponse> AdvisorService::RankTenant(const std::string& tenant,
+                                                const RankRequest& request) {
   const uint64_t start = obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
-  TenantState* t = FindTenant(request.tenant);
+  TenantState* t = FindTenant(tenant);
   if (t == nullptr) {
-    return Status::NotFound("unknown tenant: " + request.tenant);
+    return Status::NotFound("unknown tenant: " + tenant);
   }
   // Snapshot load (pointer copy only): ranking scores against this frozen
   // model even if a retrain publishes a successor mid-call.
   std::shared_ptr<const ServiceSnapshot> snap = t->snapshot.load();
+  // The one copy of the request's features, made outside the tenant lock;
+  // the event log keeps it by pointer.
   bandit::RankRequest rank;
   rank.event_id = request.event_id;
-  rank.context = request.context;
-  rank.actions = request.actions;
+  rank.inputs = std::make_shared<const bandit::RankInputs>(
+      bandit::RankInputs{request.context, request.actions, {}});
   rank.explore_uniform = request.explore_uniform;
   RankResponse resp;
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    auto ranked = t->personalizer.Rank(rank, &snap->model);
+    auto ranked = t->personalizer.Rank(rank, snap->model.get());
     if (!ranked.ok()) return ranked.status();
     resp.event_id = std::move(ranked->event_id);
     resp.event = ranked->event;
@@ -235,19 +243,22 @@ bool AdvisorService::TrainAndPublish(const std::string& tenant) {
   TenantState* t = FindTenant(tenant);
   if (t == nullptr) return false;
   std::vector<bandit::LoggedExample> batch;
-  bandit::CbModel model;
+  std::shared_ptr<const bandit::CbModel> base;
   {
     std::lock_guard<std::mutex> lock(t->mu);
     batch = t->personalizer.TakePendingBatch();
     if (batch.empty()) return false;
-    model = t->personalizer.model();
+    base = t->personalizer.shared_model();
   }
-  // The expensive step runs with no lock held: readers keep ranking against
-  // the current snapshot and rewarding into the next pending batch.
-  model.Train(batch);
+  // The expensive steps run with no lock held: readers keep ranking against
+  // the current snapshot and rewarding into the next pending batch. `base`
+  // is immutable, so it is copied without the lock, and the copy is the
+  // one model the learner and the new snapshot then share.
+  auto model = std::make_shared<bandit::CbModel>(*base);
+  model->Train(batch);
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    t->personalizer.AdoptModel(model);
+    t->personalizer.AdoptModel(std::move(model));
     ++t->model_generation;
     PublishLocked(*t);
   }
@@ -325,9 +336,8 @@ std::vector<std::string> AdvisorService::tenants() const {
 
 // --- TenantSession -------------------------------------------------------
 
-Result<RankResponse> TenantSession::Rank(RankRequest request) {
-  request.tenant = tenant_;
-  return service_->Rank(request);
+Result<RankResponse> TenantSession::Rank(const RankRequest& request) {
+  return service_->RankTenant(tenant_, request);
 }
 
 Result<RewardResponse> TenantSession::Reward(RewardRequest request) {

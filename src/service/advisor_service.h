@@ -11,7 +11,7 @@
 //    StatsInsightService (versioned hints). A short per-tenant mutex guards
 //    the mutable learner/SIS state.
 //  - Reads that must never wait on training go through an RCU snapshot: a
-//    shared_ptr<const ServiceSnapshot> holding a frozen CbModel copy and an
+//    shared_ptr<const ServiceSnapshot> holding a frozen CbModel and an
 //    immutable sis::SnapshotView, published through a SnapshotSlot whose
 //    micro-mutex is held only for the pointer/refcount copy — never across
 //    training, compilation or any other long work. Rank scores against the
@@ -19,10 +19,12 @@
 //    without touching the tenant mutex (the engine is internally
 //    synchronized).
 //  - The retrain/ingest loop (background thread, or TrainAndPublish called
-//    at points the owner picks) drains the pending reward batch and copies
-//    the model under the tenant mutex, trains the copy OUTSIDE the mutex,
-//    then adopts + republishes under the mutex again. Readers only ever
-//    contend with those two short critical sections, never with training.
+//    at points the owner picks) drains the pending reward batch and takes a
+//    reference to the model under the tenant mutex, copies and trains it
+//    OUTSIDE the mutex, then adopts + republishes under the mutex again —
+//    the learner and the new snapshot share the one trained copy, so a
+//    retrain writes the 1 MiB of weights once. Readers only ever contend
+//    with those two short critical sections, never with training.
 //
 // Determinism: one tenant's request stream is served sequentially (the
 // tenant mutex) and all cross-tenant state is either immutable or purely
@@ -68,8 +70,9 @@ struct ServiceSnapshot {
   uint64_t sequence = 0;
   /// Retrain cycles folded into `model` (0 = cold-start model).
   uint64_t model_generation = 0;
-  /// Frozen scorer — a copy, never shared with the learner's live model.
-  bandit::CbModel model;
+  /// Frozen scorer (never null). Shared with the learner, which never
+  /// writes a model it shares: a retrain trains a copy and adopts it.
+  std::shared_ptr<const bandit::CbModel> model;
   /// Immutable hint view (never null; empty view before the first upload).
   std::shared_ptr<const sis::SnapshotView> hints;
   /// Integrity fingerprint over the fields above, computed at publish time.
@@ -149,7 +152,9 @@ class TenantSession {
   bool valid() const { return service_ != nullptr; }
 
   /// AdvisorApi calls with the tenant field filled from this session.
-  Result<RankResponse> Rank(RankRequest request);
+  /// Rank reads the request in place (its tenant field is ignored): the
+  /// service makes the one copy of the features it logs.
+  Result<RankResponse> Rank(const RankRequest& request);
   Result<RewardResponse> Reward(RewardRequest request);
   Result<CompileResponse> Compile(CompileRequest request);
   Result<UploadHintsResponse> UploadHints(UploadHintsRequest request);
@@ -227,8 +232,9 @@ class AdvisorService : public AdvisorApi {
   std::shared_ptr<const ServiceSnapshot> CurrentSnapshot(
       const std::string& tenant) const;
 
-  /// One retrain/publish cycle for one tenant: drain + copy under the
-  /// tenant mutex, train outside it, adopt + publish under it again.
+  /// One retrain/publish cycle for one tenant: drain the batch under the
+  /// tenant mutex, copy and train the model outside it, adopt + publish
+  /// under it again.
   /// Returns false when no rewards were pending (nothing published).
   bool TrainAndPublish(const std::string& tenant);
   /// TrainAndPublish over every open tenant; returns how many published.
@@ -275,6 +281,9 @@ class AdvisorService : public AdvisorApi {
   };
 
   TenantState* FindTenant(const std::string& tenant) const;
+  /// Rank for `tenant`, whatever request.tenant says.
+  Result<RankResponse> RankTenant(const std::string& tenant,
+                                  const RankRequest& request);
   /// Builds + release-publishes the next snapshot from the tenant's live
   /// state. Caller holds t.mu.
   void PublishLocked(TenantState& t);

@@ -1,8 +1,10 @@
-// Allocation budget of the compile path: a counting global operator new
-// measures heap allocations per CompileSource and per Optimizer::Optimize
-// over fixed fig10-shaped jobs. Counts are noise-free (no timer), so a
-// change that brings node-based containers or per-candidate copies back
-// into the compile path fails here even when no benchmark can resolve it.
+// Allocation budgets of the compile and rank paths: a counting global
+// operator new measures heap allocations per CompileSource and per
+// Optimizer::Optimize over fixed fig10-shaped jobs, and per advisor-service
+// Rank + Reward on a serve_rank-shaped request. Counts are noise-free (no
+// timer), so a change that brings node-based containers or per-candidate
+// copies back into the compile path, or per-arm vectors back into Rank,
+// fails here even when no benchmark can resolve it.
 //
 // The counts depend on the standard library's container growth policy, so
 // the test asserts bounds with a little headroom, not exact values.
@@ -17,7 +19,9 @@
 
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
+#include "bandit/features.h"
 #include "scope/compiler.h"
+#include "service/advisor_service.h"
 #include "workload/workload.h"
 
 namespace {
@@ -131,6 +135,67 @@ TEST(AllocBudgetTest, CompilePathAllocationsStayWithinBudget) {
   std::printf("allocations per Optimize: %.1f\n", per_optimize);
   EXPECT_LE(per_compile, kMaxAllocsPerCompileSource);
   EXPECT_LE(per_optimize, kMaxAllocsPerOptimize);
+}
+
+/// A 9-arm rank request on a 97-feature context: an 8-bit span gives 8 + 28
+/// + 56 span features plus 5 input-stream features; the arms are the no-op
+/// and one flip per span bit (the Recommender's action set).
+service::RankRequest BudgetRankRequest() {
+  bandit::JobContext ctx;
+  ctx.span = BitVector256::FromPositions({3, 41, 44, 50, 101, 160, 203, 204});
+  ctx.row_count = 1e8;
+  ctx.est_cost = 1e4;
+  service::RankRequest req;
+  req.tenant = "budget";
+  req.context = bandit::BuildContextFeatures(ctx);
+  req.actions.push_back({"noop", bandit::BuildActionFeatures(-1, true)});
+  for (int bit : ctx.span.Positions()) {
+    std::string id = "flip_";
+    id += std::to_string(bit);
+    req.actions.push_back({id, bandit::BuildActionFeatures(bit, false)});
+  }
+  return req;
+}
+
+// Measured per Rank + Reward on the path this test guards (gcc 12,
+// libstdc++): 16.2 — one copy of the request's features (12), the chosen
+// arm's shared vector (3), the event's id-map node and amortized log and
+// batch growth. Combining every arm into its own shared vector took 43.2.
+// The bound leaves ~10% headroom.
+constexpr double kMaxAllocsPerRankReward = 18;
+
+TEST(AllocBudgetTest, ServiceRankRewardAllocationsStayWithinBudget) {
+  service::AdvisorService advisor;
+  auto session = advisor.OpenTenant("budget");
+  ASSERT_TRUE(session.ok());
+  service::RankRequest req = BudgetRankRequest();
+  ASSERT_EQ(req.context.size(), 97u);
+  ASSERT_EQ(req.actions.size(), 9u);
+  auto rank_reward = [&] {
+    auto ranked = session->Rank(req);
+    ASSERT_TRUE(ranked.ok());
+    ASSERT_TRUE(session->Reward(ranked->event, 1.0).ok());
+  };
+  // Warm-up: grows the per-thread combine buffers and the log's containers,
+  // then trains once so greedy ranks score against a non-zero model.
+  constexpr int kWarmup = 256;
+  constexpr int kCounted = 1024;
+  int next_id = 0;
+  for (int i = 0; i < kWarmup; ++i) {
+    req.event_id = std::to_string(next_id++);
+    rank_reward();
+  }
+  ASSERT_TRUE(session->TrainAndPublish());
+  uint64_t allocs = 0;
+  for (int i = 0; i < kCounted; ++i) {
+    req.event_id = std::to_string(next_id++);
+    allocs += CountAllocations(rank_reward);
+  }
+  const double per_rank_reward =
+      static_cast<double>(allocs) / static_cast<double>(kCounted);
+  std::printf("allocations per service Rank + Reward: %.1f\n",
+              per_rank_reward);
+  EXPECT_LE(per_rank_reward, kMaxAllocsPerRankReward);
 }
 
 }  // namespace

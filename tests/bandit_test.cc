@@ -263,6 +263,15 @@ std::vector<RankableAction> ThreeActions() {
   return actions;
 }
 
+/// Shared inputs for one rank: `actions` under `context`, combined inline
+/// by the service unless `precombined` is given.
+std::shared_ptr<const RankInputs> Inputs(
+    std::vector<RankableAction> actions, FeatureVector context = {},
+    std::vector<std::shared_ptr<const SparseVector>> precombined = {}) {
+  return std::make_shared<const RankInputs>(RankInputs{
+      std::move(context), std::move(actions), std::move(precombined)});
+}
+
 FeatureVector SmallContext() {
   JobContext ctx;
   ctx.span = BitVector256::FromPositions({41, 44, 50});
@@ -274,11 +283,13 @@ TEST(PersonalizerTest, RankRequiresActionsAndUniqueEventIds) {
   PersonalizerService service;
   RankRequest empty;
   empty.event_id = "e0";
-  EXPECT_FALSE(service.Rank(empty).ok());
+  EXPECT_FALSE(service.Rank(empty).ok());  // no inputs
+  empty.inputs = Inputs({});
+  EXPECT_FALSE(service.Rank(empty).ok());  // no actions
 
   RankRequest req;
   req.event_id = "e1";
-  req.actions = ThreeActions();
+  req.inputs = Inputs(ThreeActions());
   EXPECT_TRUE(service.Rank(req).ok());
   EXPECT_FALSE(service.Rank(req).ok());  // duplicate id
 }
@@ -287,13 +298,16 @@ TEST(PersonalizerTest, RankRejectsMismatchedPrecombined) {
   PersonalizerService service;
   RankRequest req;
   req.event_id = "e1";
-  req.actions = ThreeActions();
-  req.precombined = {CombineFeaturesShared(SmallContext(), req.actions[0].features)};
+  const std::vector<RankableAction> actions = ThreeActions();
+  req.inputs = Inputs(actions, SmallContext(),
+                      {CombineFeaturesShared(SmallContext(),
+                                             actions[0].features)});
   EXPECT_FALSE(service.Rank(req).ok());  // 1 precombined vs 3 actions
 
   // Correct size but a null entry is rejected too (nothing null may reach
   // the event log, where BestAction dereferences unchecked).
-  req.precombined.resize(3);
+  req.inputs = Inputs(actions, SmallContext(),
+                      std::vector<std::shared_ptr<const SparseVector>>(3));
   EXPECT_FALSE(service.Rank(req).ok());
 }
 
@@ -301,7 +315,7 @@ TEST(PersonalizerTest, UniformExplorationHasUniformPropensity) {
   PersonalizerService service({.seed = 4});
   RankRequest req;
   req.event_id = "e";
-  req.actions = ThreeActions();
+  req.inputs = Inputs(ThreeActions());
   req.explore_uniform = true;
   auto resp = service.Rank(req);
   ASSERT_TRUE(resp.ok());
@@ -313,7 +327,7 @@ TEST(PersonalizerTest, RewardJoinSemantics) {
   PersonalizerService service;
   RankRequest req;
   req.event_id = "e1";
-  req.actions = ThreeActions();
+  req.inputs = Inputs(ThreeActions());
   ASSERT_TRUE(service.Rank(req).ok());
   EXPECT_TRUE(service.Reward("e1", 1.5).ok());
   // Double reward and unknown events are rejected.
@@ -352,16 +366,17 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
       RankRequest req;
       req.event_id = "e";
       req.event_id += std::to_string(i);
-      req.context = context;
-      req.actions = actions;
+      req.inputs = Inputs(actions, context,
+                          precombine ? CombineActionSet(context, actions)
+                                     : std::vector<std::shared_ptr<
+                                           const SparseVector>>{});
       req.explore_uniform = (i % 2 == 0);
-      if (precombine) req.precombined = CombineActionSet(context, actions);
       auto r = service.Rank(req);
       EXPECT_TRUE(r.ok());
       if (!r.ok()) return out;
-      // The logged event holds the caller's vectors, not copies: the probe
+      // The logged event holds the caller's inputs, not a copy: the probe
       // and acting arms of one job share one combine.
-      for (const auto& c : req.precombined) EXPECT_GT(c.use_count(), 1);
+      EXPECT_GT(req.inputs.use_count(), 1);
       out.chosen.push_back(r->chosen_index);
       out.probabilities.push_back(r->probability);
       double reward = r->chosen_index == 1 ? 2.0 : 0.5;
@@ -385,7 +400,9 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
   for (size_t a = 0; a < inline_run.final_scores.size(); ++a) {
     EXPECT_DOUBLE_EQ(inline_run.final_scores[a], shared_run.final_scores[a]);
   }
-  EXPECT_EQ(inline_run.combines, 120.0 * 3.0);
+  // Inline, a greedy rank combines each of its 3 arms once (into reused
+  // buffers) and a uniform rank combines only the arm it picked.
+  EXPECT_EQ(inline_run.combines, 60.0 * 3.0 + 60.0 * 1.0);
   EXPECT_EQ(inline_run.precombined_reused, 0.0);
   EXPECT_GT(shared_run.precombined_reused, 0.0);
   EXPECT_EQ(shared_run.combines, 0.0);
@@ -409,8 +426,7 @@ TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
       RankRequest req;
       req.event_id = "e";
       req.event_id += std::to_string(i);
-      req.context = context;
-      req.actions = actions;
+      req.inputs = Inputs(actions, context);
       req.explore_uniform = true;  // identical RNG consumption in both
       auto r = service.Rank(req);
       EXPECT_TRUE(r.ok());
@@ -451,7 +467,7 @@ TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
     RankRequest req;
     req.event_id = "e";
     req.event_id += std::to_string(i);
-    req.actions = ThreeActions();
+    req.inputs = Inputs(ThreeActions());
     req.explore_uniform = true;
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
@@ -468,6 +484,47 @@ TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
   EXPECT_TRUE(service.EvaluateOffline().ok());
 }
 
+TEST(PersonalizerTest, RetentionBoundsEventIds) {
+  // Event ids retire with their events: a long-running service holds ids
+  // for the resident window only, whatever it has ranked.
+  constexpr size_t kWindow = 50;
+  PersonalizerService service({.seed = 17,
+                               .retrain_interval = 16,
+                               .retention_window = kWindow});
+  std::vector<EventId> events;
+  for (size_t i = 0; i < 4 * kWindow; ++i) {
+    RankRequest req;
+    req.event_id = "id";
+    req.event_id += std::to_string(i);
+    req.inputs = Inputs(ThreeActions());
+    req.explore_uniform = i % 2 == 0;
+    auto resp = service.Rank(req);
+    ASSERT_TRUE(resp.ok());
+    events.push_back(resp->event);
+    EXPECT_LE(service.indexed_event_ids(), kWindow);
+    EXPECT_EQ(service.indexed_event_ids(), service.resident_events());
+  }
+  EXPECT_EQ(service.logged_events(), 4 * kWindow);
+  // A resident id is still a duplicate; an expired one may be ranked again.
+  RankRequest again;
+  again.event_id = "id" + std::to_string(4 * kWindow - 1);
+  again.inputs = Inputs(ThreeActions());
+  EXPECT_EQ(service.Rank(again).status().code(),
+            StatusCode::kInvalidArgument);
+  again.event_id = "id0";
+  ASSERT_TRUE(service.Rank(again).ok());
+  // Expired ids are NotFound, by string and by typed id; resident ones
+  // join once.
+  EXPECT_TRUE(service.Reward("id1", 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(events[1], 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(EventId{}, 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(EventId{1u << 30}, 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(events.back(), 1.0).ok());
+  EXPECT_EQ(service.Reward(events.back(), 1.0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_LE(service.indexed_event_ids(), kWindow);
+}
+
 TEST(PersonalizerTest, ColdStartRanksUniformly) {
   // With an untrained model all scores tie at zero; ties break randomly, so
   // all actions should be chosen across many requests.
@@ -477,7 +534,7 @@ TEST(PersonalizerTest, ColdStartRanksUniformly) {
     RankRequest req;
     req.event_id = "e";
     req.event_id += std::to_string(i);
-    req.actions = ThreeActions();
+    req.inputs = Inputs(ThreeActions());
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
     chosen.insert(resp->chosen_action_id);
@@ -494,7 +551,7 @@ TEST(PersonalizerTest, LearnsToPickTheGoodAction) {
     RankRequest req;
     req.event_id = "train";
     req.event_id += std::to_string(i);
-    req.actions = ThreeActions();
+    req.inputs = Inputs(ThreeActions());
     req.explore_uniform = true;
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
@@ -508,7 +565,7 @@ TEST(PersonalizerTest, LearnsToPickTheGoodAction) {
     RankRequest req;
     req.event_id = "test";
     req.event_id += std::to_string(i);
-    req.actions = ThreeActions();
+    req.inputs = Inputs(ThreeActions());
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
     picked_good += resp->chosen_action_id == "a1";
@@ -523,7 +580,7 @@ TEST(PersonalizerTest, OfflineEvaluationComparesPolicies) {
     RankRequest req;
     req.event_id = "e";
     req.event_id += std::to_string(i);
-    req.actions = ThreeActions();
+    req.inputs = Inputs(ThreeActions());
     req.explore_uniform = true;
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());

@@ -4,9 +4,12 @@
 // snapshot), fully concurrent rank/reward/compile/upload from 8 threads x 4
 // tenants with the background trainer live (the TSAN CI leg's target), and
 // byte-identity of scripted per-tenant streams at 1 vs 4 serving threads —
-// the service-layer extension of the runtime determinism contract.
+// the service-layer extension of the runtime determinism contract — and
+// RankGoldenTest, which pins the rank path (Personalizer and service) bit
+// for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "bandit/features.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "experiments/experiments.h"
 #include "optimizer/rules.h"
 #include "runtime/runtime.h"
@@ -202,7 +208,7 @@ TEST(AdvisorServiceTest, TrainAndPublishAdvancesGenerations) {
   std::shared_ptr<const ServiceSnapshot> snap = session->snapshot();
   EXPECT_EQ(snap->model_generation, 1u);
   EXPECT_EQ(snap->sequence, 2u);
-  EXPECT_GT(snap->model.updates(), 0u);
+  EXPECT_GT(snap->model->updates(), 0u);
   EXPECT_EQ(snap->checksum, ServiceSnapshot::Fingerprint(*snap));
 
   // The drained batch is gone: a second cycle has nothing to train on.
@@ -432,6 +438,282 @@ TEST(AdvisorServicePipelineTest, RunPipelineDayPublishes) {
     last_seq = snap->sequence;
   }
   ASSERT_NE(session->pipeline(), nullptr);
+}
+
+// --- Rank golden ------------------------------------------------------------
+//
+// Pins the rank path bit for bit. Seed-driven streams run through
+// PersonalizerService (inline greedy, explore_uniform and precombined ranks,
+// with inline and explicit retrains and retention compaction) and through
+// AdvisorService (6 tenants doing Rank, Reward and TrainAndPublish). The
+// digest covers every arm's score bits before each rank, every pick, the
+// propensity bits, the RankResponse fields, the join statuses, the weights'
+// bit pattern after every retrain and the EvaluateOffline bits. EventId is
+// an opaque handle and is not digested. An intentional change to any of
+// these updates kRankGoldenDigest and says why in CHANGES.md.
+
+/// FNV-1a chained over everything the streams produce.
+class GoldenDigest {
+ public:
+  void U64(uint64_t v) { h_ = HashU64(v, h_); }
+  void Double(double v) { h_ = HashDouble(v, h_); }
+  void Str(const std::string& s) {
+    U64(s.size());
+    h_ = HashString(s, h_);
+  }
+  void Code(const Status& s) { U64(static_cast<uint64_t>(s.code())); }
+  void Weights(const bandit::CbModel& model) {
+    const std::vector<float>& w = model.weights();
+    h_ = HashBytes(w.data(), w.size() * sizeof(float), h_);
+    U64(model.updates());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = kFnvOffsetBasis;
+};
+
+/// One rankable job: context, the Recommender-shaped action set (no-op plus
+/// one flip per span bit) and its precombined vectors.
+struct GoldenJob {
+  bandit::FeatureVector context;
+  std::vector<bandit::RankableAction> actions;
+  std::vector<std::shared_ptr<const bandit::SparseVector>> combined;
+};
+
+/// Jobs with 2-13 span bits: short spans take the combine's sort path,
+/// long ones the arena path.
+std::vector<GoldenJob> GoldenJobs(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<GoldenJob> jobs;
+  for (int j = 0; j < 10; ++j) {
+    const size_t bits = 2 + rng.UniformInt(12);
+    std::vector<int> positions;
+    while (positions.size() < bits) {
+      const int bit = static_cast<int>(rng.UniformInt(256));
+      if (std::find(positions.begin(), positions.end(), bit) ==
+          positions.end()) {
+        positions.push_back(bit);
+      }
+    }
+    bandit::JobContext ctx;
+    ctx.span = BitVector256::FromPositions(positions);
+    ctx.row_count = static_cast<double>(rng.UniformInt(1000000000));
+    ctx.est_cost = static_cast<double>(rng.UniformInt(100000));
+    ctx.bytes_read = static_cast<double>(rng.UniformInt(1000000000));
+    ctx.total_vertices = static_cast<int>(rng.UniformInt(5000));
+    GoldenJob job;
+    job.context = bandit::BuildContextFeatures(ctx);
+    // Real-valued features, so that a score depends on its summation order
+    // (sums of unit-valued features over float weights are exact).
+    for (int k = 0; k < 3; ++k) {
+      job.context.AddNamed("load_" + std::to_string(k), rng.Uniform(0.1, 3.0));
+    }
+    job.context.Canonicalize();
+    bandit::RankableAction noop;
+    noop.action_id = "noop";
+    noop.features = bandit::BuildActionFeatures(-1, /*is_noop=*/true);
+    job.actions.push_back(std::move(noop));
+    for (int bit : ctx.span.Positions()) {
+      bandit::RankableAction a;
+      a.action_id = "flip_";
+      a.action_id += std::to_string(bit);
+      a.features = bandit::BuildActionFeatures(bit, /*is_noop=*/false);
+      job.actions.push_back(std::move(a));
+    }
+    job.combined = bandit::CombineActionSet(job.context, job.actions);
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+bandit::RankRequest GoldenRequest(const std::string& id, const GoldenJob& job,
+                                  bool uniform, bool precombined);
+const bandit::CbModel& SnapshotModel(const ServiceSnapshot& snap);
+/// Every arm's score under `model`, computed the way Rank computes it.
+std::vector<double> GoldenScores(const bandit::CbModel& model,
+                                 const GoldenJob& job, bool precombined);
+
+/// A reward that depends on the job and the arm, so the model has
+/// something to learn.
+double GoldenReward(size_t job, size_t arm) {
+  return static_cast<double>(MixHash(job * 131 + arm) % 1000) / 250.0;
+}
+
+void DigestResponse(const bandit::RankResponse& r, GoldenDigest* d) {
+  d->Str(r.event_id);
+  d->U64(r.chosen_index);
+  d->Str(r.chosen_action_id);
+  d->Double(r.probability);
+}
+
+void RunPersonalizerGolden(uint64_t seed, GoldenDigest* d) {
+  bandit::PersonalizerService service({.epsilon = 0.2,
+                                       .seed = seed,
+                                       .retrain_interval = 24,
+                                       .retention_window = 80});
+  const std::vector<GoldenJob> jobs = GoldenJobs(seed);
+  Rng rng(seed ^ 0x5eedULL);
+  std::vector<std::string> late;  // ranked, rewarded much later (or never)
+  size_t updates = 0;
+  auto digest_if_retrained = [&] {
+    if (service.model().updates() != updates) {
+      updates = service.model().updates();
+      d->Weights(service.model());
+    }
+  };
+  for (int step = 0; step < 300; ++step) {
+    const size_t j = rng.UniformInt(jobs.size());
+    const int mode = step % 4;
+    const bool uniform = mode == 2 || (mode == 3 && (step / 4) % 2 == 1);
+    std::string id = "p";
+    id += std::to_string(seed);
+    id += "_";
+    id += std::to_string(step);
+    for (double s : GoldenScores(service.model(), jobs[j], mode == 3)) {
+      d->Double(s);
+    }
+    auto ranked = service.Rank(GoldenRequest(id, jobs[j], uniform, mode == 3));
+    d->Code(ranked.status());
+    if (!ranked.ok()) continue;
+    DigestResponse(*ranked, d);
+    if (step % 37 == 5) {
+      // A duplicate id is rejected and logs nothing.
+      d->Code(service.Rank(GoldenRequest(id, jobs[j], uniform, false))
+                  .status());
+    }
+    const double reward = GoldenReward(j, ranked->chosen_index);
+    switch (rng.UniformInt(6)) {
+      case 0:
+        late.push_back(id);
+        break;
+      case 1:
+        d->Code(service.Reward(id, reward));
+        d->Code(service.Reward(ranked->event, reward));  // double reward
+        break;
+      default:
+        d->Code(service.Reward(ranked->event, reward));
+        break;
+    }
+    digest_if_retrained();
+    if (step % 50 == 49) {
+      // Late joins: recent ids land, ids past the window are NotFound.
+      for (const std::string& late_id : late) {
+        d->Code(service.Reward(late_id, 1.0));
+        digest_if_retrained();
+      }
+      late.clear();
+      service.Retrain();
+      digest_if_retrained();
+      auto eval = service.EvaluateOffline();
+      d->Code(eval.status());
+      if (eval.ok()) {
+        d->Double(eval->logged_average_reward);
+        d->Double(eval->policy_ips_estimate);
+        d->U64(eval->events);
+      }
+    }
+  }
+  d->Code(service.Reward("never_ranked", 1.0));
+  d->U64(service.logged_events());
+  d->U64(service.resident_events());
+  d->U64(service.rewarded_events());
+}
+
+void RunAdvisorGolden(GoldenDigest* d) {
+  constexpr int kTenants = 6;
+  AdvisorService advisor;
+  std::vector<TenantSession> sessions;
+  for (int k = 0; k < kTenants; ++k) {
+    TenantConfig config;
+    config.personalizer = {.epsilon = 0.15,
+                           .seed = static_cast<uint64_t>(100 + k),
+                           .retention_window = 48};
+    auto session = advisor.OpenTenant("golden_" + std::to_string(k), config);
+    ASSERT_TRUE(session.ok());
+    sessions.push_back(*session);
+  }
+  const std::vector<GoldenJob> jobs = GoldenJobs(2022);
+  Rng rng(99);
+  for (int step = 0; step < 240; ++step) {
+    const int k = step % kTenants;
+    TenantSession& session = sessions[static_cast<size_t>(k)];
+    const size_t j = rng.UniformInt(jobs.size());
+    RankRequest req;
+    req.event_id = "a";
+    req.event_id += std::to_string(step);
+    req.context = jobs[j].context;
+    req.actions = jobs[j].actions;
+    req.explore_uniform = step % 5 == 0;
+    const bandit::CbModel& model = SnapshotModel(*session.snapshot());
+    for (double s : GoldenScores(model, jobs[j], false)) d->Double(s);
+    auto ranked = session.Rank(req);
+    d->Code(ranked.status());
+    if (!ranked.ok()) continue;
+    d->Str(ranked->event_id);
+    d->U64(ranked->chosen_index);
+    d->Str(ranked->chosen_action_id);
+    d->Double(ranked->probability);
+    d->U64(ranked->snapshot_sequence);
+    const double reward = GoldenReward(j, ranked->chosen_index);
+    RewardRequest by_string;
+    by_string.event_id = ranked->event_id;
+    by_string.reward = reward;
+    auto rewarded = step % 7 == 3 ? session.Reward(by_string)
+                                  : session.Reward(ranked->event, reward);
+    d->Code(rewarded.status());
+    if (rewarded.ok()) d->U64(rewarded->rewarded_events);
+    if (step % 36 == 35) {
+      for (TenantSession& s : sessions) {
+        d->U64(s.TrainAndPublish());
+        auto snap = s.snapshot();
+        d->U64(snap->sequence);
+        d->U64(snap->model_generation);
+        d->Weights(SnapshotModel(*snap));
+      }
+    }
+  }
+  d->U64(advisor.TrainAndPublishAll());
+  for (TenantSession& s : sessions) d->Weights(SnapshotModel(*s.snapshot()));
+}
+
+// Recorded on the tree whose Rank combined every arm into its own shared
+// vector and logged all of them.
+constexpr uint64_t kRankGoldenDigest = 0xc13db568d6fb404cULL;
+
+TEST(RankGoldenTest, RankStreamsMatchGolden) {
+  GoldenDigest d;
+  for (uint64_t seed : {2022ULL, 7ULL, 11ULL}) RunPersonalizerGolden(seed, &d);
+  RunAdvisorGolden(&d);
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                static_cast<unsigned long long>(d.value()));
+  EXPECT_EQ(d.value(), kRankGoldenDigest) << "rank golden digest " << hex;
+}
+
+/// The request for one golden rank: inline (context x actions combined by
+/// the service) or with the job's precombined vectors.
+bandit::RankRequest GoldenRequest(const std::string& id, const GoldenJob& job,
+                                  bool uniform, bool precombined) {
+  bandit::RankRequest req;
+  req.event_id = id;
+  auto inputs = std::make_shared<bandit::RankInputs>();
+  inputs->context = job.context;
+  inputs->actions = job.actions;
+  if (precombined) inputs->precombined = job.combined;
+  req.inputs = std::move(inputs);
+  req.explore_uniform = uniform;
+  return req;
+}
+
+const bandit::CbModel& SnapshotModel(const ServiceSnapshot& snap) {
+  return *snap.model;
+}
+
+std::vector<double> GoldenScores(const bandit::CbModel& model,
+                                 const GoldenJob& job, bool precombined) {
+  return bandit::ScoreArms(model, *GoldenRequest("", job, false, precombined)
+                                       .inputs);
 }
 
 }  // namespace
