@@ -316,8 +316,7 @@ void BM_PersonalizerRetrain(benchmark::State& state) {
     // Feed one retrain batch off the clock; measure only the retrain.
     state.PauseTiming();
     auto inputs = std::make_shared<const bandit::RankInputs>(
-        bandit::RankInputs{context, actions,
-                           bandit::CombineActionSet(context, actions)});
+        bandit::RankInputs{context, actions});
     for (int k = 0; k < kBatch; ++k) {
       bandit::RankRequest req;
       // Reserved build + move assign: sidesteps the GCC 12 -Wrestrict
@@ -364,43 +363,12 @@ void BM_PersonalizerRank(benchmark::State& state) {
     event_id += std::to_string(i++);
     req.event_id = std::move(event_id);
     req.inputs = std::make_shared<const bandit::RankInputs>(
-        bandit::RankInputs{shared, actions, {}});
+        bandit::RankInputs{shared, actions});
     auto resp = service.Rank(req);
     benchmark::DoNotOptimize(resp);
   }
 }
 BENCHMARK(BM_PersonalizerRank);
-
-// BM_PersonalizerRank ranks inline: the service copies the request's
-// features once and combines every arm into per-thread buffers per call —
-// the advisor service's path, which serves every Rank request. The offline
-// pipeline ranks through the Recommender's per-job combined-feature cache
-// instead; this variant measures that path (one CombineActionSet amortized
-// across the probes + acting arm of a job, here across the whole run).
-void BM_PersonalizerRankPrecombined(benchmark::State& state) {
-  bandit::PersonalizerService service({.seed = 3});
-  bandit::FeatureVector shared = BenchContext();
-  std::vector<bandit::RankableAction> actions;
-  for (int bit : {41, 44, 50, 160, 203, 204}) {
-    actions.push_back({std::to_string(bit),
-                       bandit::BuildActionFeatures(bit, false)});
-  }
-  auto inputs = std::make_shared<const bandit::RankInputs>(bandit::RankInputs{
-      shared, actions, bandit::CombineActionSet(shared, actions)});
-  uint64_t i = 0;
-  for (auto _ : state) {
-    bandit::RankRequest req;
-    std::string event_id;
-    event_id.reserve(24);
-    event_id.push_back('e');
-    event_id += std::to_string(i++);
-    req.event_id = std::move(event_id);
-    req.inputs = inputs;
-    auto resp = service.Rank(req);
-    benchmark::DoNotOptimize(resp);
-  }
-}
-BENCHMARK(BM_PersonalizerRankPrecombined);
 
 // One advisor-service Rank + typed Reward on a 9-arm request (an 8-bit span:
 // 97 context features, the no-op plus 8 flips) — the serve_rank request
@@ -435,8 +403,8 @@ void BM_AdvisorRankReward(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvisorRankReward);
 
-// --- Data plane: batched A/A runs over one prepared profile, per-arm
-// scoring of a rank request, and the combine arena.
+// --- Data plane: batched A/A runs over one prepared profile and the
+// combine arena.
 
 void BM_ExecuteRuns(benchmark::State& state) {
   engine::ScopeEngine engine;
@@ -454,31 +422,6 @@ void BM_ExecuteRuns(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRuns);
 }
 BENCHMARK(BM_ExecuteRuns);
-
-void BM_ScoreBatch(benchmark::State& state) {
-  bandit::FeatureVector shared = BenchContext();
-  std::vector<bandit::LoggedExample> examples;
-  for (int i = 0; i < 256; ++i) {
-    bandit::FeatureVector action =
-        bandit::BuildActionFeatures(41 + (i % 6), false);
-    examples.push_back({bandit::CombineFeaturesShared(shared, action),
-                        i % 2 == 0 ? 1.5 : 0.5, 1.0 / 7.0});
-  }
-  bandit::CbModel model;
-  model.TrainEpoch(examples);
-  std::vector<std::shared_ptr<const bandit::SparseVector>> arms;
-  for (int i = 0; i < 16; ++i) {
-    arms.push_back(bandit::CombineFeaturesShared(
-        shared, bandit::BuildActionFeatures(40 + i, i == 0)));
-  }
-  for (auto _ : state) {
-    auto scores = model.ScoreBatch(arms);
-    benchmark::DoNotOptimize(scores);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(arms.size()));
-}
-BENCHMARK(BM_ScoreBatch);
 
 void BM_CombineArena(benchmark::State& state) {
   // Twelve span bits put hundreds of entries in the shared vector, and the

@@ -181,8 +181,8 @@ int main(int argc, char** argv) {
   }
 
   // One registry-wide dump covers every subsystem the service wires
-  // together: cache/memo/exec-profile absorption, the bandit's
-  // combined-feature cache and retention health, flighting budget, SIS hint
+  // together: cache/memo/exec-profile absorption, the bandit's combines
+  // and retention health, flighting budget, SIS hint
   // lifecycle, the advisor service's request counters and the phase latency
   // quantiles. It goes to stderr: its latency quantiles come from timers, so
   // stdout stays byte-identical run to run and at any thread count.

@@ -9,49 +9,13 @@ CbModel::CbModel(CbModelConfig config) : config_(config) {
 }
 
 double CbModel::Score(const SparseVector& features) const {
-  return Accumulate(features, 0, 0.0);
-}
-
-double CbModel::Accumulate(const SparseVector& features, size_t begin,
-                           double sum) const {
   const std::vector<uint32_t>& idx = features.indices();
   const std::vector<double>& val = features.values();
-  for (size_t k = begin; k < idx.size(); ++k) {
+  double sum = 0.0;
+  for (size_t k = 0; k < idx.size(); ++k) {
     sum += static_cast<double>(weights_[idx[k]]) * val[k];
   }
   return sum;
-}
-
-std::vector<double> CbModel::ScoreBatch(
-    const std::vector<std::shared_ptr<const SparseVector>>& arms) const {
-  static const SparseVector kEmpty;  // a null arm scores like an empty one
-  auto arm = [&](size_t i) -> const SparseVector& {
-    return arms[i] != nullptr ? *arms[i] : kEmpty;
-  };
-  std::vector<double> scores(arms.size());
-  // Four arms at a time: each arm's sum is one serial chain of dependent
-  // adds, so interleaving four chains keeps four adds in flight instead of
-  // one. Every chain still accumulates in Score()'s order, so each score is
-  // bit-identical to Score() on that arm.
-  size_t a = 0;
-  for (; a + 4 <= arms.size(); a += 4) {
-    const SparseVector* v[4] = {&arm(a), &arm(a + 1), &arm(a + 2),
-                                &arm(a + 3)};
-    const size_t common = std::min(std::min(v[0]->size(), v[1]->size()),
-                                   std::min(v[2]->size(), v[3]->size()));
-    double s[4] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t k = 0; k < common; ++k) {
-      for (size_t j = 0; j < 4; ++j) {
-        s[j] += static_cast<double>(weights_[v[j]->indices()[k]]) *
-                v[j]->values()[k];
-      }
-    }
-    for (size_t j = 0; j < 4; ++j) {
-      scores[a + j] = Accumulate(*v[j], common, s[j]);
-    }
-  }
-  for (; a < arms.size(); ++a) scores[a] = Score(arm(a));
-  return scores;
 }
 
 void CbModel::TrainEpoch(const std::vector<LoggedExample>& examples) {

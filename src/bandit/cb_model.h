@@ -21,8 +21,8 @@
 namespace qo::bandit {
 
 /// One logged interaction, ready for training. Features are shared with the
-/// Personalizer's event log and the Recommender's per-job combined-feature
-/// cache — building an example never deep-copies a feature vector.
+/// Personalizer's event log — building an example never deep-copies a
+/// feature vector.
 struct LoggedExample {
   std::shared_ptr<const SparseVector> features;  ///< combined features
   double reward = 0.0;
@@ -45,11 +45,6 @@ class CbModel {
   /// Predicted reward for a combined feature vector.
   double Score(const SparseVector& features) const;
 
-  /// Predicted rewards for every arm of a rank request, in arm order. Each
-  /// score is bit-identical to Score() on that arm; null arms score 0.0.
-  std::vector<double> ScoreBatch(
-      const std::vector<std::shared_ptr<const SparseVector>>& arms) const;
-
   /// One SGD pass over the examples with IPS weighting (examples with low
   /// logging probability get up-weighted, subject to clipping). Examples
   /// with null features are skipped.
@@ -64,11 +59,6 @@ class CbModel {
   const CbModelConfig& config() const { return config_; }
 
  private:
-  /// `sum` plus the weighted entries of `features` from `begin` on, added
-  /// one at a time in index order (the order Score() fixes).
-  double Accumulate(const SparseVector& features, size_t begin,
-                    double sum) const;
-
   CbModelConfig config_;
   std::vector<float> weights_;
   size_t updates_ = 0;

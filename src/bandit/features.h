@@ -33,8 +33,7 @@ struct FeatureVector;
 /// value. The split columns also keep `CbModel::Score` a sweep over two
 /// dense arrays, with none of the 4-byte padding a pair layout carries.
 /// Immutable after construction and shared by value or via `shared_ptr`
-/// between the Personalizer's event log, the trainer and the Recommender's
-/// per-job combined-feature cache.
+/// between the Personalizer's event log and the trainer.
 class SparseVector {
  public:
   SparseVector() = default;
@@ -120,14 +119,14 @@ SparseVector CombineFeatures(const FeatureVector& shared,
 
 /// CombineFeatures into `out`, reusing its columns' capacity: the result is
 /// bit-identical to CombineFeatures, and once `out` has grown to the
-/// combined size a call allocates nothing. This is how Rank scores inline
+/// combined size a call allocates nothing. This is how Rank scores its
 /// arms from per-thread buffers without materializing a vector per arm.
 void CombineFeaturesInto(const FeatureVector& shared,
                          const FeatureVector& action, SparseVector* out);
 
-/// CombineFeatures into a shareable immutable vector — the unit of the
-/// combined-feature cache (one combine serves every Rank call, the event
-/// log and the trainer for a given (context, action) pair).
+/// CombineFeatures into a shareable immutable vector — how Rank
+/// materializes a uniform rank's picked arm for the event log and the
+/// trainer.
 std::shared_ptr<const SparseVector> CombineFeaturesShared(
     const FeatureVector& shared, const FeatureVector& action);
 

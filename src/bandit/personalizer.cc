@@ -10,21 +10,19 @@ namespace qo::bandit {
 namespace {
 
 struct BanditCounters {
-  obs::Counter& ranks;               ///< Rank calls that logged an event
-  obs::Counter& combines;            ///< combined vectors computed in Rank
-  obs::Counter& precombined_reused;  ///< combined vectors shared by callers
-  obs::Counter& reward_joins;        ///< successful Reward() joins
-  obs::Counter& reward_failures;     ///< rejected Reward() calls
-  obs::Counter& retrains;            ///< Retrain / TakePendingBatch calls
-  obs::Counter& examples_trained;    ///< examples consumed by retrains
-  obs::Counter& events_compacted;    ///< events dropped by retention
+  obs::Counter& ranks;             ///< Rank calls that logged an event
+  obs::Counter& combines;          ///< combined vectors computed in Rank
+  obs::Counter& reward_joins;      ///< successful Reward() joins
+  obs::Counter& reward_failures;   ///< rejected Reward() calls
+  obs::Counter& retrains;          ///< Retrain / TakePendingBatch calls
+  obs::Counter& examples_trained;  ///< examples consumed by retrains
+  obs::Counter& events_compacted;  ///< events dropped by retention
 };
 
 const BanditCounters& Counters() {
   static const BanditCounters counters{
       obs::Registry::Get().counter("bandit.ranks"),
       obs::Registry::Get().counter("bandit.combines"),
-      obs::Registry::Get().counter("bandit.precombined_reused"),
       obs::Registry::Get().counter("bandit.reward_joins"),
       obs::Registry::Get().counter("bandit.reward_failures"),
       obs::Registry::Get().counter("bandit.retrains"),
@@ -34,8 +32,8 @@ const BanditCounters& Counters() {
 }
 
 /// This thread's combine buffers, one per arm, grown to `arms`. Combining
-/// an arm into its buffer reuses the buffer's capacity, so scoring an
-/// inline request allocates nothing in steady state.
+/// an arm into its buffer reuses the buffer's capacity, so scoring a rank's
+/// arms allocates nothing in steady state.
 std::vector<SparseVector>& ArmBuffers(size_t arms) {
   thread_local std::vector<SparseVector> buffers;
   if (buffers.size() < arms) buffers.resize(arms);
@@ -43,16 +41,10 @@ std::vector<SparseVector>& ArmBuffers(size_t arms) {
 }
 
 /// Calls fn(i, score) for every arm of `inputs` in arm order (see
-/// ScoreArms): precombined arms score in one interleaved batch, inline arms
-/// are combined into this thread's arm buffers (left holding them for the
-/// caller) and scored from there.
+/// ScoreArms): each arm is combined into this thread's arm buffers (left
+/// holding them for the caller) and scored from there.
 template <typename Fn>
 void ScoreEachArm(const CbModel& model, const RankInputs& inputs, Fn&& fn) {
-  if (!inputs.precombined.empty()) {
-    const std::vector<double> scores = model.ScoreBatch(inputs.precombined);
-    for (size_t i = 0; i < scores.size(); ++i) fn(i, scores[i]);
-    return;
-  }
   std::vector<SparseVector>& arms = ArmBuffers(inputs.actions.size());
   for (size_t i = 0; i < inputs.actions.size(); ++i) {
     CombineFeaturesInto(inputs.context, inputs.actions[i].features, &arms[i]);
@@ -87,16 +79,6 @@ size_t BestAction(const CbModel& model, const RankInputs& inputs, Rng* rng) {
 
 }  // namespace
 
-std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
-    const FeatureVector& context, const std::vector<RankableAction>& actions) {
-  std::vector<std::shared_ptr<const SparseVector>> combined;
-  combined.reserve(actions.size());
-  for (const auto& action : actions) {
-    combined.push_back(CombineFeaturesShared(context, action.features));
-  }
-  return combined;
-}
-
 std::vector<double> ScoreArms(const CbModel& model, const RankInputs& inputs) {
   std::vector<double> scores(inputs.actions.size());
   ScoreEachArm(model, inputs, [&](size_t i, double s) { scores[i] = s; });
@@ -118,20 +100,6 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     return Status::InvalidArgument("Rank requires at least one action");
   }
   const size_t n = inputs->actions.size();
-  const bool precombined = !inputs->precombined.empty();
-  if (precombined) {
-    if (inputs->precombined.size() != n) {
-      return Status::InvalidArgument(
-          "precombined features disagree with action set: " +
-          std::to_string(inputs->precombined.size()) + " vs " +
-          std::to_string(n));
-    }
-    for (const auto& combined : inputs->precombined) {
-      if (combined == nullptr) {
-        return Status::InvalidArgument("null precombined feature vector");
-      }
-    }
-  }
   if (event_index_.count(request.event_id) > 0) {
     return Status::InvalidArgument("duplicate event id: " + request.event_id);
   }
@@ -159,12 +127,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
   ev.inputs = request.inputs;
   ev.chosen = chosen;
   ev.probability = probability;
-  if (precombined) {
-    // Shared combined-feature cache hit: log the caller's vector. The
-    // probes and acting arm of one job all log the same shared_ptrs.
-    ev.chosen_features = inputs->precombined[chosen];
-    Counters().precombined_reused.Add(n);
-  } else if (request.explore_uniform) {
+  if (request.explore_uniform) {
     ev.chosen_features = CombineFeaturesShared(
         inputs->context, inputs->actions[chosen].features);
     Counters().combines.Add();

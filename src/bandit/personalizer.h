@@ -15,11 +15,11 @@
 // an unbounded number of pipeline days in constant memory, event ids
 // included.
 //
-// Rank materializes only the chosen arm. An inline request (no precombined
-// vectors) combines each arm into a per-thread buffer that is reused across
-// calls and scores it there; only the chosen arm is copied out into a
-// shared SparseVector for the pending batch. An explore_uniform rank
-// combines just the arm it picked. The log keeps one immutable, shared copy
+// Rank materializes only the chosen arm. A greedy rank combines each arm
+// into a per-thread buffer that is reused across calls and scores it
+// there; only the chosen arm is copied out into a shared SparseVector for
+// the pending batch. An explore_uniform rank combines just the arm it
+// picked. The log keeps one immutable, shared copy
 // of what the call saw (RankInputs) plus that one vector, and
 // EvaluateOffline recombines the other arms from the logged inputs.
 //
@@ -64,21 +64,15 @@ struct EventId {
   friend bool operator==(EventId, EventId) = default;
 };
 
-/// What one Rank call saw: the context, the action set and, optionally, the
-/// caller's precombined (context x action) vectors. Immutable once built and
-/// shared by pointer: the event log keeps it — not a copy — so
-/// EvaluateOffline can rescore every arm, and a caller that ranks one job
-/// several times logs one copy for all of its calls.
+/// What one Rank call saw: the context and the action set; the service
+/// combines (context x action) itself. Immutable once built and shared by
+/// pointer: the event log keeps it — not a copy — so EvaluateOffline can
+/// rescore every arm, and a caller that ranks one job several times (the
+/// Recommender's uniform probes and acting arm) logs one copy for all of
+/// its calls.
 struct RankInputs {
   FeatureVector context;
   std::vector<RankableAction> actions;
-  /// Optional shared combined vectors, one per action (see
-  /// CombineActionSet). When non-empty it must match actions.size(); the
-  /// service then scores these and logs the chosen one instead of
-  /// combining context x action itself. This is how the Recommender's
-  /// per-job combine flows through every uniform probe and the acting arm
-  /// of one job: one combine and one RankInputs, many Rank calls.
-  std::vector<std::shared_ptr<const SparseVector>> precombined;
 };
 
 struct RankRequest {
@@ -117,18 +111,10 @@ struct PersonalizerConfig {
   size_t retention_window = 16384;
 };
 
-/// Builds the shared combined-feature set for one (context, action set)
-/// pair — the unit the Recommender caches per job and hands to every Rank
-/// call via RankInputs::precombined.
-std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
-    const FeatureVector& context, const std::vector<RankableAction>& actions);
-
 /// The model's score for every arm of `inputs`, in arm order, computed as
-/// Rank computes them: precombined arms in one interleaved batch, inline
-/// arms combined into this thread's reusable buffers. Each score is
-/// bit-identical to CbModel::Score on CombineFeatures(context, action).
-/// A non-empty `inputs.precombined` must match the action set and hold no
-/// null vector (Rank checks this).
+/// Rank computes them: each arm combined into this thread's reusable
+/// buffers. Each score is bit-identical to CbModel::Score on
+/// CombineFeatures(context, action).
 std::vector<double> ScoreArms(const CbModel& model, const RankInputs& inputs);
 
 /// The service. Thread-compatible, not thread-safe (matches the offline
@@ -138,9 +124,9 @@ std::vector<double> ScoreArms(const CbModel& model, const RankInputs& inputs);
 /// every later choice — so the runtime never fans these out. The parallel
 /// recommendation path pre-evaluates recompilations concurrently and keeps
 /// all Personalizer traffic on the committing thread, in submission order.
-/// Inline ranks combine into buffers owned by the calling thread, so
-/// instances guarded by different mutexes (the advisor service's tenants)
-/// rank concurrently without sharing scratch state. The model is shared
+/// Ranks combine into buffers owned by the calling thread, so instances
+/// guarded by different mutexes (the advisor service's tenants) rank
+/// concurrently without sharing scratch state. The model is shared
 /// read-only with whoever holds shared_model(); Retrain trains a private
 /// copy while it is shared.
 class PersonalizerService {
@@ -152,9 +138,8 @@ class PersonalizerService {
   PersonalizerService& operator=(const PersonalizerService&) = delete;
 
   /// Ranks the actions; logs the decision for later reward joining.
-  /// InvalidArgument when the request has no inputs or no actions, an event
-  /// id still resident in the log, or a precombined set whose size
-  /// disagrees with the action set (or holds a null vector).
+  /// InvalidArgument when the request has no inputs or no actions, or an
+  /// event id still resident in the log.
   ///
   /// `serving_model` overrides the model used for scoring (epsilon-greedy
   /// argmax) without touching the learning state — the advisor service
@@ -217,8 +202,7 @@ class PersonalizerService {
   const PersonalizerConfig& config() const { return config_; }
 
  private:
-  /// One ranked event. Every event has this one layout, inline or
-  /// precombined: the shared inputs, the chosen arm's vector and the
+  /// One ranked event: the shared inputs, the chosen arm's vector and the
   /// decision.
   struct LoggedEvent {
     /// The event id; event_index_'s keys view this string (deque elements

@@ -196,15 +196,12 @@ std::vector<Recommendation> Recommender::RecommendDay(
     ++local.jobs;
     // One request per job, shared by every probe and the acting arm: only
     // event_id and explore_uniform change between Rank calls. Its inputs
-    // hold one (context x actions) combine and are shared (by pointer) with
-    // the Personalizer's event log and trainer.
-    auto inputs = std::make_shared<bandit::RankInputs>();
-    inputs->context = bandit::BuildContextFeatures(job.ToContext());
-    inputs->actions = BuildActions(job.span);
-    inputs->precombined =
-        bandit::CombineActionSet(inputs->context, inputs->actions);
+    // (context and actions) are shared by pointer with the Personalizer's
+    // event log, which logs one copy for all of the job's events.
     bandit::RankRequest request;
-    request.inputs = std::move(inputs);
+    request.inputs = std::make_shared<const bandit::RankInputs>(
+        bandit::RankInputs{bandit::BuildContextFeatures(job.ToContext()),
+                           BuildActions(job.span)});
     std::vector<int> span_bits = job.span.Positions();
 
     // --- Logging arm: uniform-at-random, always rewarded. ---

@@ -114,11 +114,11 @@ class Recommender {
   /// recommendations — the Personalizer's order-dependent learning state is
   /// only ever touched from the calling thread.
   ///
-  /// The (context x actions) combined feature vectors are built once per
-  /// job (CombineActionSet) and shared by every Rank call for that job —
-  /// all uniform probes plus the acting arm — via one shared RankInputs
-  /// with `precombined` set, so the Personalizer never recombines per
-  /// request and logs one copy of the job's features.
+  /// Each job's context and actions form one shared RankInputs, used by
+  /// every Rank call for that job — all uniform probes plus the acting arm
+  /// — so the Personalizer logs one copy of the job's features. Rank
+  /// combines (context x action) itself: every arm of a greedy rank, the
+  /// picked arm of a uniform one.
   std::vector<Recommendation> RecommendDay(
       const std::vector<JobFeatures>& jobs, int day,
       RecommenderStats* stats = nullptr,

@@ -129,7 +129,7 @@ Result<RankResponse> AdvisorService::RankTenant(const std::string& tenant,
   bandit::RankRequest rank;
   rank.event_id = request.event_id;
   rank.inputs = std::make_shared<const bandit::RankInputs>(
-      bandit::RankInputs{request.context, request.actions, {}});
+      bandit::RankInputs{request.context, request.actions});
   rank.explore_uniform = request.explore_uniform;
   RankResponse resp;
   {
@@ -212,14 +212,19 @@ Result<CompileResponse> AdvisorService::Compile(const CompileRequest& request) {
 
 Result<UploadHintsResponse> AdvisorService::UploadHints(
     const UploadHintsRequest& request) {
-  TenantState* t = FindTenant(request.tenant);
+  return UploadHintsTenant(request.tenant, request.file);
+}
+
+Result<UploadHintsResponse> AdvisorService::UploadHintsTenant(
+    const std::string& tenant, const sis::HintFile& file) {
+  TenantState* t = FindTenant(tenant);
   if (t == nullptr) {
-    return Status::NotFound("unknown tenant: " + request.tenant);
+    return Status::NotFound("unknown tenant: " + tenant);
   }
   UploadHintsResponse resp;
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    auto version = t->sis.UploadHintFile(request.file);
+    auto version = t->sis.UploadHintFile(file);
     if (!version.ok()) return version.status();
     resp.version = *version;
     resp.active_hints = t->sis.active_hints();
@@ -351,9 +356,8 @@ Result<CompileResponse> TenantSession::Compile(CompileRequest request) {
 }
 
 Result<UploadHintsResponse> TenantSession::UploadHints(
-    UploadHintsRequest request) {
-  request.tenant = tenant_;
-  return service_->UploadHints(request);
+    const UploadHintsRequest& request) {
+  return service_->UploadHintsTenant(tenant_, request.file);
 }
 
 Result<RewardResponse> TenantSession::Reward(bandit::EventId event,
@@ -376,10 +380,7 @@ Result<CompileResponse> TenantSession::Compile(
 
 Result<UploadHintsResponse> TenantSession::UploadHints(
     const sis::HintFile& file) {
-  UploadHintsRequest request;
-  request.tenant = tenant_;
-  request.file = file;
-  return service_->UploadHints(request);
+  return service_->UploadHintsTenant(tenant_, file);
 }
 
 Result<advisor::PipelineDayReport> TenantSession::RunPipelineDay(

@@ -152,12 +152,13 @@ class TenantSession {
   bool valid() const { return service_ != nullptr; }
 
   /// AdvisorApi calls with the tenant field filled from this session.
-  /// Rank reads the request in place (its tenant field is ignored): the
-  /// service makes the one copy of the features it logs.
+  /// Rank and UploadHints read the request in place (its tenant field is
+  /// ignored): Rank's one copy of the features is the one the service logs,
+  /// and UploadHints copies nothing.
   Result<RankResponse> Rank(const RankRequest& request);
   Result<RewardResponse> Reward(RewardRequest request);
   Result<CompileResponse> Compile(CompileRequest request);
-  Result<UploadHintsResponse> UploadHints(UploadHintsRequest request);
+  Result<UploadHintsResponse> UploadHints(const UploadHintsRequest& request);
 
   /// Payload-level conveniences over the request structs above.
   Result<RewardResponse> Reward(bandit::EventId event, double reward);
@@ -284,6 +285,10 @@ class AdvisorService : public AdvisorApi {
   /// Rank for `tenant`, whatever request.tenant says.
   Result<RankResponse> RankTenant(const std::string& tenant,
                                   const RankRequest& request);
+  /// UploadHints for `tenant`, whatever a request's tenant says, reading
+  /// the hint file by reference.
+  Result<UploadHintsResponse> UploadHintsTenant(const std::string& tenant,
+                                                const sis::HintFile& file);
   /// Builds + release-publishes the next snapshot from the tenant's live
   /// state. Caller holds t.mu.
   void PublishLocked(TenantState& t);

@@ -344,12 +344,31 @@ TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   config.personalizer.retrain_interval = 64;
   config.personalizer.retention_window = 256;
   QoAdvisorPipeline pipeline(&env.engine(), &sis, config);
+  // Rank combines one arm per uniform probe and every arm (no-op plus one
+  // flip per span bit) per greedy acting rank; count that from the spans of
+  // the jobs each day recommends on.
+  double expected_combines = 0.0;
   for (int day = 0; day < 8; ++day) {
-    auto report = pipeline.RunDay(env.BuildDayView(day, &sis));
+    const telemetry::WorkloadView view = env.BuildDayView(day, &sis);
+    auto report = pipeline.RunDay(view);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(report->recommender.reward_failures, 0u);
     EXPECT_LE(pipeline.personalizer().resident_events(), 256u);
+    ASSERT_FALSE(report->steering_disabled);
+    telemetry::WorkloadView recurring;
+    for (const auto& row : view.rows) {
+      if (row.recurring) recurring.rows.push_back(row);
+    }
+    const std::vector<JobFeatures> jobs =
+        GenerateFeatures(env.engine(), recurring);
+    EXPECT_EQ(jobs.size(), report->recommender.jobs);
+    for (const JobFeatures& job : jobs) {
+      expected_combines += config.recommender.uniform_probes_per_job +
+                           1.0 + static_cast<double>(job.span.Count());
+    }
   }
+  EXPECT_GT(expected_combines, 0.0);
+  EXPECT_EQ(Series("bandit.combines"), expected_combines);
   // The run logged far more events than are retained...
   EXPECT_GT(pipeline.personalizer().logged_events(), 256u);
   EXPECT_GT(Series("bandit.events_compacted"), 0.0);
@@ -359,9 +378,6 @@ TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   // an untrained example.
   pipeline.personalizer().Retrain();
   EXPECT_EQ(Series("bandit.examples_trained"), Series("bandit.reward_joins"));
-  // The recommender's per-job combined-feature cache served every Rank.
-  EXPECT_EQ(Series("bandit.combines"), 0.0);
-  EXPECT_GT(Series("bandit.precombined_reused"), 0.0);
 }
 
 TEST(PipelineTest, HintedTemplatesCompileWithSingleFlip) {

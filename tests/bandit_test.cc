@@ -1,6 +1,6 @@
 // Contextual bandit tests: featurization, the canonical sparse
 // representation, model learning, the Personalizer service contract
-// (including shared combined features, incremental retraining and log
+// (including shared rank inputs, incremental retraining and log
 // retention), and offline (IPS) evaluation.
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -206,51 +206,6 @@ TEST(CbModelTest, DuplicateIndexDecaysWeightOncePerExample) {
   EXPECT_NEAR(model.Score(*single), 0.2, 1e-6);
 }
 
-TEST(CbModelTest, ScoreBatchBitIdenticalToPerArmScore) {
-  // Train a model so the weights are non-trivial, then score batches whose
-  // shapes exercise every ScoreBatch path: full blocks of four, a
-  // remainder block, arms of different lengths (per-arm tails), an empty
-  // arm, and a null arm — in the remainder, and moved into a full block.
-  // Each arm's batch score must equal its individual Score() bit for bit,
-  // and the null arm scores 0.0.
-  CbModel model({.learning_rate = 0.2, .epochs = 30});
-  FeatureVector shared;
-  shared.AddNamed("bias", 1.0);
-  shared.AddNamed("ctx", 0.5);
-  std::vector<LoggedExample> examples;
-  for (int i = 0; i < 40; ++i) {
-    FeatureVector fa = BuildActionFeatures(10 + (i % 5), false);
-    examples.push_back(
-        {CombineFeaturesShared(shared, fa), (i % 5) * 0.5, 0.5});
-  }
-  model.Train(examples);
-
-  std::vector<std::shared_ptr<const SparseVector>> arms;
-  for (int i = 0; i < 9; ++i) {
-    FeatureVector fa = BuildActionFeatures(10 + i, i % 2 == 0);
-    arms.push_back(CombineFeaturesShared(shared, fa));
-  }
-  arms.push_back(std::make_shared<const SparseVector>());  // empty arm
-  arms.push_back(nullptr);                                 // null arm
-  ASSERT_EQ(arms.size() % 4, 3u);  // remainder block exists
-
-  // The empty arm moved into the second full block; the null arm moved
-  // into the first.
-  auto empty_in_block = arms;
-  std::swap(empty_in_block[5], empty_in_block[9]);
-  auto null_in_block = arms;
-  std::swap(null_in_block[1], null_in_block[10]);
-  for (const auto* batch_arms : {&arms, &empty_in_block, &null_in_block}) {
-    std::vector<double> batch = model.ScoreBatch(*batch_arms);
-    ASSERT_EQ(batch.size(), batch_arms->size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto& arm = (*batch_arms)[i];
-      EXPECT_EQ(batch[i], arm ? model.Score(*arm) : 0.0) << "arm=" << i;
-    }
-  }
-  EXPECT_TRUE(model.ScoreBatch({}).empty());
-}
-
 std::vector<RankableAction> ThreeActions() {
   std::vector<RankableAction> actions;
   for (int i = 0; i < 3; ++i) {
@@ -263,13 +218,11 @@ std::vector<RankableAction> ThreeActions() {
   return actions;
 }
 
-/// Shared inputs for one rank: `actions` under `context`, combined inline
-/// by the service unless `precombined` is given.
-std::shared_ptr<const RankInputs> Inputs(
-    std::vector<RankableAction> actions, FeatureVector context = {},
-    std::vector<std::shared_ptr<const SparseVector>> precombined = {}) {
-  return std::make_shared<const RankInputs>(RankInputs{
-      std::move(context), std::move(actions), std::move(precombined)});
+/// Shared inputs for one rank: `actions` under `context`.
+std::shared_ptr<const RankInputs> Inputs(std::vector<RankableAction> actions,
+                                         FeatureVector context = {}) {
+  return std::make_shared<const RankInputs>(
+      RankInputs{std::move(context), std::move(actions)});
 }
 
 FeatureVector SmallContext() {
@@ -292,23 +245,6 @@ TEST(PersonalizerTest, RankRequiresActionsAndUniqueEventIds) {
   req.inputs = Inputs(ThreeActions());
   EXPECT_TRUE(service.Rank(req).ok());
   EXPECT_FALSE(service.Rank(req).ok());  // duplicate id
-}
-
-TEST(PersonalizerTest, RankRejectsMismatchedPrecombined) {
-  PersonalizerService service;
-  RankRequest req;
-  req.event_id = "e1";
-  const std::vector<RankableAction> actions = ThreeActions();
-  req.inputs = Inputs(actions, SmallContext(),
-                      {CombineFeaturesShared(SmallContext(),
-                                             actions[0].features)});
-  EXPECT_FALSE(service.Rank(req).ok());  // 1 precombined vs 3 actions
-
-  // Correct size but a null entry is rejected too (nothing null may reach
-  // the event log, where BestAction dereferences unchecked).
-  req.inputs = Inputs(actions, SmallContext(),
-                      std::vector<std::shared_ptr<const SparseVector>>(3));
-  EXPECT_FALSE(service.Rank(req).ok());
 }
 
 TEST(PersonalizerTest, UniformExplorationHasUniformPropensity) {
@@ -339,74 +275,49 @@ TEST(PersonalizerTest, RewardJoinSemantics) {
   EXPECT_EQ(Series("bandit.reward_failures"), 2.0);
 }
 
-/// What one service did with one event stream: its choices, propensities,
-/// final model scores per action, and the registry counts of its phase.
-struct StreamRun {
-  std::vector<size_t> chosen;
-  std::vector<double> probabilities;
-  std::vector<double> final_scores;
-  double combines = 0.0;
-  double precombined_reused = 0.0;
-  double examples_trained = 0.0;
-};
-
-TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
-  // Two identically seeded services fed the same event stream, one zeroed
-  // phase each; one combines inline per Rank, the other shares precombined
-  // vectors per "job". Both must produce identical choices, propensities
-  // and learned models.
-  PersonalizerConfig config{.seed = 11, .retrain_interval = 40};
+TEST(PersonalizerTest, SharedInputsRankInlineAndCountCombines) {
+  // Recommender-shaped traffic: each "job" is one RankInputs shared by a
+  // uniform probe and a greedy acting rank. The log keeps the caller's
+  // inputs, not a copy, and Rank combines each arm of a greedy rank once
+  // (into reused buffers) and only the picked arm of a uniform rank.
+  obs::Registry::Get().ZeroAllForTest();
+  PersonalizerService service({.seed = 11, .retrain_interval = 40});
   FeatureVector context = SmallContext();
   std::vector<RankableAction> actions = ThreeActions();
-  auto run = [&](bool precombine) {
-    obs::Registry::Get().ZeroAllForTest();
-    PersonalizerService service(config);
-    StreamRun out;
-    for (int i = 0; i < 120; ++i) {
-      RankRequest req;
-      req.event_id = "e";
-      req.event_id += std::to_string(i);
-      req.inputs = Inputs(actions, context,
-                          precombine ? CombineActionSet(context, actions)
-                                     : std::vector<std::shared_ptr<
-                                           const SparseVector>>{});
-      req.explore_uniform = (i % 2 == 0);
+  for (int job = 0; job < 60; ++job) {
+    RankRequest req;
+    req.inputs = Inputs(actions, context);
+    for (bool uniform : {true, false}) {
+      req.event_id = uniform ? "u" : "g";
+      req.event_id += std::to_string(job);
+      req.explore_uniform = uniform;
       auto r = service.Rank(req);
-      EXPECT_TRUE(r.ok());
-      if (!r.ok()) return out;
-      // The logged event holds the caller's inputs, not a copy: the probe
-      // and acting arms of one job share one combine.
+      ASSERT_TRUE(r.ok());
       EXPECT_GT(req.inputs.use_count(), 1);
-      out.chosen.push_back(r->chosen_index);
-      out.probabilities.push_back(r->probability);
       double reward = r->chosen_index == 1 ? 2.0 : 0.5;
-      EXPECT_TRUE(service.Reward(r->event_id, reward).ok());
+      EXPECT_TRUE(service.Reward(r->event, reward).ok());
     }
-    service.Retrain();
-    for (const auto& action : actions) {
-      out.final_scores.push_back(
-          service.model().Score(CombineFeatures(context, action.features)));
-    }
-    out.combines = Series("bandit.combines");
-    out.precombined_reused = Series("bandit.precombined_reused");
-    return out;
-  };
-  const StreamRun inline_run = run(/*precombine=*/false);
-  const StreamRun shared_run = run(/*precombine=*/true);
-  ASSERT_EQ(inline_run.chosen.size(), 120u);
-  EXPECT_EQ(inline_run.chosen, shared_run.chosen);
-  EXPECT_EQ(inline_run.probabilities, shared_run.probabilities);
-  ASSERT_EQ(inline_run.final_scores.size(), shared_run.final_scores.size());
-  for (size_t a = 0; a < inline_run.final_scores.size(); ++a) {
-    EXPECT_DOUBLE_EQ(inline_run.final_scores[a], shared_run.final_scores[a]);
   }
-  // Inline, a greedy rank combines each of its 3 arms once (into reused
-  // buffers) and a uniform rank combines only the arm it picked.
-  EXPECT_EQ(inline_run.combines, 60.0 * 3.0 + 60.0 * 1.0);
-  EXPECT_EQ(inline_run.precombined_reused, 0.0);
-  EXPECT_GT(shared_run.precombined_reused, 0.0);
-  EXPECT_EQ(shared_run.combines, 0.0);
+  service.Retrain();
+  EXPECT_EQ(Series("bandit.combines"), 60.0 * 3.0 + 60.0 * 1.0);
+  EXPECT_EQ(Series("bandit.examples_trained"), 120.0);
+  // Scores from the reused buffers equal a fresh combine's, bit for bit.
+  const std::vector<double> scores =
+      ScoreArms(service.model(), RankInputs{context, actions});
+  ASSERT_EQ(scores.size(), actions.size());
+  for (size_t a = 0; a < actions.size(); ++a) {
+    EXPECT_EQ(scores[a], service.model().Score(
+                             CombineFeatures(context, actions[a].features)));
+  }
 }
+
+/// What one service did with one event stream: its choices, final model
+/// scores per action, and the registry counts of its phase.
+struct StreamRun {
+  std::vector<size_t> chosen;
+  std::vector<double> final_scores;
+  double examples_trained = 0.0;
+};
 
 TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
   // With epochs = 1, retraining after every batch produces exactly the same

@@ -443,8 +443,7 @@ TEST(AdvisorServicePipelineTest, RunPipelineDayPublishes) {
 // --- Rank golden ------------------------------------------------------------
 //
 // Pins the rank path bit for bit. Seed-driven streams run through
-// PersonalizerService (inline greedy, explore_uniform and precombined ranks,
-// with inline and explicit retrains and retention compaction) and through
+// PersonalizerService (greedy and explore_uniform ranks, with inline and explicit retrains and retention compaction) and through
 // AdvisorService (6 tenants doing Rank, Reward and TrainAndPublish). The
 // digest covers every arm's score bits before each rank, every pick, the
 // propensity bits, the RankResponse fields, the join statuses, the weights'
@@ -473,12 +472,11 @@ class GoldenDigest {
   uint64_t h_ = kFnvOffsetBasis;
 };
 
-/// One rankable job: context, the Recommender-shaped action set (no-op plus
-/// one flip per span bit) and its precombined vectors.
+/// One rankable job: context and the Recommender-shaped action set (no-op
+/// plus one flip per span bit).
 struct GoldenJob {
   bandit::FeatureVector context;
   std::vector<bandit::RankableAction> actions;
-  std::vector<std::shared_ptr<const bandit::SparseVector>> combined;
 };
 
 /// Jobs with 2-13 span bits: short spans take the combine's sort path,
@@ -521,18 +519,17 @@ std::vector<GoldenJob> GoldenJobs(uint64_t seed) {
       a.features = bandit::BuildActionFeatures(bit, /*is_noop=*/false);
       job.actions.push_back(std::move(a));
     }
-    job.combined = bandit::CombineActionSet(job.context, job.actions);
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
 bandit::RankRequest GoldenRequest(const std::string& id, const GoldenJob& job,
-                                  bool uniform, bool precombined);
+                                  bool uniform);
 const bandit::CbModel& SnapshotModel(const ServiceSnapshot& snap);
 /// Every arm's score under `model`, computed the way Rank computes it.
 std::vector<double> GoldenScores(const bandit::CbModel& model,
-                                 const GoldenJob& job, bool precombined);
+                                 const GoldenJob& job);
 
 /// A reward that depends on the job and the arm, so the model has
 /// something to learn.
@@ -570,17 +567,14 @@ void RunPersonalizerGolden(uint64_t seed, GoldenDigest* d) {
     id += std::to_string(seed);
     id += "_";
     id += std::to_string(step);
-    for (double s : GoldenScores(service.model(), jobs[j], mode == 3)) {
-      d->Double(s);
-    }
-    auto ranked = service.Rank(GoldenRequest(id, jobs[j], uniform, mode == 3));
+    for (double s : GoldenScores(service.model(), jobs[j])) d->Double(s);
+    auto ranked = service.Rank(GoldenRequest(id, jobs[j], uniform));
     d->Code(ranked.status());
     if (!ranked.ok()) continue;
     DigestResponse(*ranked, d);
     if (step % 37 == 5) {
       // A duplicate id is rejected and logs nothing.
-      d->Code(service.Rank(GoldenRequest(id, jobs[j], uniform, false))
-                  .status());
+      d->Code(service.Rank(GoldenRequest(id, jobs[j], uniform)).status());
     }
     const double reward = GoldenReward(j, ranked->chosen_index);
     switch (rng.UniformInt(6)) {
@@ -646,7 +640,7 @@ void RunAdvisorGolden(GoldenDigest* d) {
     req.actions = jobs[j].actions;
     req.explore_uniform = step % 5 == 0;
     const bandit::CbModel& model = SnapshotModel(*session.snapshot());
-    for (double s : GoldenScores(model, jobs[j], false)) d->Double(s);
+    for (double s : GoldenScores(model, jobs[j])) d->Double(s);
     auto ranked = session.Rank(req);
     d->Code(ranked.status());
     if (!ranked.ok()) continue;
@@ -691,17 +685,14 @@ TEST(RankGoldenTest, RankStreamsMatchGolden) {
   EXPECT_EQ(d.value(), kRankGoldenDigest) << "rank golden digest " << hex;
 }
 
-/// The request for one golden rank: inline (context x actions combined by
-/// the service) or with the job's precombined vectors.
+/// The request for one golden rank (context x actions combined by the
+/// service).
 bandit::RankRequest GoldenRequest(const std::string& id, const GoldenJob& job,
-                                  bool uniform, bool precombined) {
+                                  bool uniform) {
   bandit::RankRequest req;
   req.event_id = id;
-  auto inputs = std::make_shared<bandit::RankInputs>();
-  inputs->context = job.context;
-  inputs->actions = job.actions;
-  if (precombined) inputs->precombined = job.combined;
-  req.inputs = std::move(inputs);
+  req.inputs = std::make_shared<const bandit::RankInputs>(
+      bandit::RankInputs{job.context, job.actions});
   req.explore_uniform = uniform;
   return req;
 }
@@ -711,9 +702,9 @@ const bandit::CbModel& SnapshotModel(const ServiceSnapshot& snap) {
 }
 
 std::vector<double> GoldenScores(const bandit::CbModel& model,
-                                 const GoldenJob& job, bool precombined) {
-  return bandit::ScoreArms(model, *GoldenRequest("", job, false, precombined)
-                                       .inputs);
+                                 const GoldenJob& job) {
+  return bandit::ScoreArms(model,
+                           bandit::RankInputs{job.context, job.actions});
 }
 
 }  // namespace
